@@ -34,11 +34,6 @@ class CalibReport:
     mean_removed: np.ndarray
 
 
-def median_phase(phases: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Median with the average-of-central-pair convention for even counts."""
-    return np.median(phases, axis=axis)
-
-
 def remove_cfo(m: CsiMatrix, scope: str = "per_sample") -> tuple[CsiMatrix, np.ndarray]:
     """Subtract the median phase bias, rotating each entry on the unit circle.
 
@@ -50,7 +45,7 @@ def remove_cfo(m: CsiMatrix, scope: str = "per_sample") -> tuple[CsiMatrix, np.n
     """
     phases = m.phase()
     if scope == "per_sample":
-        offsets = median_phase(phases, axis=0)
+        offsets = np.median(phases, axis=0)
     elif scope == "global":
         offsets = np.full(m.n_samples, float(np.median(phases)))
     else:
@@ -62,42 +57,46 @@ def remove_cfo(m: CsiMatrix, scope: str = "per_sample") -> tuple[CsiMatrix, np.n
 def unwrap_phase(phases: np.ndarray) -> np.ndarray:
     """Reconstruct a continuous phase profile from principal values.
 
-    Consecutive differences of the output lie in (-pi, pi]; the first
-    element is preserved and every element stays congruent to the input
-    modulo 2*pi.
+    Works along axis 0, so a 1-D profile and a [K, T] matrix (one profile
+    per column) take the same code. Consecutive differences of the output
+    lie in (-pi, pi]; the first element is preserved and every element
+    stays congruent to the input modulo 2*pi.
     """
     phases = np.asarray(phases, dtype=np.float64)
-    d = np.diff(phases)
+    d = np.diff(phases, axis=0)
     wrapped = np.mod(d + np.pi, TWO_PI) - np.pi
     wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
     out = np.empty_like(phases)
     out[0] = phases[0]
-    np.cumsum(wrapped, out=out[1:])
+    np.cumsum(wrapped, axis=0, out=out[1:])
     out[1:] += phases[0]
     return out
 
 
-def detrend_phase(phases: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Remove the least-squares line over subcarrier index k.
+def detrend_phase(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray | float, np.ndarray | float]:
+    """Remove the least-squares line over subcarrier index k (axis 0).
 
     Returns (residual, slope, intercept) with residual = phase - (slope*k
-    + intercept). The fit is over the integer index, not Hz; under
-    uniform spacing the two differ only by an affine reparameterization.
+    + intercept); slope and intercept are scalars for a 1-D profile and
+    one value per column for a [K, T] matrix. The fit is over the integer
+    index, not Hz; under uniform spacing the two differ only by an affine
+    reparameterization.
     """
     phases = np.asarray(phases, dtype=np.float64)
-    k = np.arange(phases.shape[0], dtype=np.float64)
+    shape = (-1,) + (1,) * (phases.ndim - 1)  # k broadcasts along axis 0
+    k = np.arange(phases.shape[0], dtype=np.float64).reshape(shape)
     k_mean = k.mean()
-    p_mean = phases.mean()
+    p_mean = phases.mean(axis=0)
     denom = np.sum((k - k_mean) ** 2)
-    slope = float(np.sum((k - k_mean) * (phases - p_mean)) / denom)
-    intercept = float(p_mean - slope * k_mean)
+    slope = np.sum((k - k_mean) * (phases - p_mean), axis=0) / denom
+    intercept = p_mean - slope * k_mean
     return phases - (slope * k + intercept), slope, intercept
 
 
 def normalize_phase(phases: np.ndarray) -> np.ndarray:
-    """Mean-center the phase profile."""
+    """Mean-center the phase profile along axis 0."""
     phases = np.asarray(phases, dtype=np.float64)
-    return phases - phases.mean()
+    return phases - phases.mean(axis=0)
 
 
 def calibrate(m: CsiMatrix, cfo_scope: str = "per_sample") -> tuple[CsiMatrix, CalibReport]:
@@ -105,38 +104,17 @@ def calibrate(m: CsiMatrix, cfo_scope: str = "per_sample") -> tuple[CsiMatrix, C
 
     Output phases are trend-free and zero-mean along k for each t;
     amplitudes match the input to within float rounding (<= 1e-12
-    relative). All columns are processed at once; the result matches the
-    per-vector operations applied column by column.
+    relative). Each column goes through the same unwrap, detrend and
+    normalize functions that a single profile does.
     """
     rotated, offsets = remove_cfo(m, scope=cfo_scope)
-    amps = rotated.amplitude()
-    phases = rotated.phase()
-
-    # Unwrap along the subcarrier axis for every column.
-    d = np.diff(phases, axis=0)
-    wrapped = np.mod(d + np.pi, TWO_PI) - np.pi
-    wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
-    unwrapped = np.empty_like(phases)
-    unwrapped[0] = phases[0]
-    np.cumsum(wrapped, axis=0, out=unwrapped[1:])
-    unwrapped[1:] += phases[0]
-
-    # Least-squares line over subcarrier index, independently per column.
-    k = np.arange(m.n_subcarriers, dtype=np.float64)
-    kc = k - k.mean()
-    denom = np.sum(kc**2)
-    col_mean = unwrapped.mean(axis=0)
-    slopes = np.sum(kc[:, None] * (unwrapped - col_mean), axis=0) / denom
-    intercepts = col_mean - slopes * k.mean()
-    detrended = unwrapped - (slopes[None, :] * k[:, None] + intercepts[None, :])
-    means = detrended.mean(axis=0)
-    out_phase = detrended - means
-
-    calibrated = m.with_values(amps * np.exp(1j * out_phase))
+    detrended, slopes, intercepts = detrend_phase(unwrap_phase(rotated.phase()))
+    out_phase = normalize_phase(detrended)
+    calibrated = m.with_values(rotated.amplitude() * np.exp(1j * out_phase))
     report = CalibReport(
         cfo_offset_removed=offsets,
         trend_slope=slopes,
         trend_intercept=intercepts,
-        mean_removed=means,
+        mean_removed=detrended.mean(axis=0),
     )
     return calibrated, report

@@ -26,31 +26,6 @@ import numpy as np
 from .errors import DegenerateFeature, SchemaMismatch, SingleClass
 from .model import FeatureMatrix, ScoreMatrix
 
-MODEL_KINDS = ("knn", "gaussian_nb", "decision_tree", "random_forest", "mlp")
-
-_DEFAULTS: dict[str, dict] = {
-    "knn": {"k": 5, "weights": "uniform"},
-    "gaussian_nb": {"var_smoothing": 1e-9},
-    "decision_tree": {"max_depth": None, "min_samples_split": 2},
-    "random_forest": {
-        "n_trees": 50,
-        "max_depth": None,
-        "min_samples_split": 2,
-        "max_features": "sqrt",
-        "bootstrap": True,
-    },
-    "mlp": {
-        "hidden_layers": (64,),
-        "learning_rate": 0.01,
-        "momentum": 0.9,
-        "batch_size": 32,
-        "max_epochs": 300,
-        "patience": 20,
-        "tol": 1e-6,
-    },
-}
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     kind: str
@@ -60,32 +35,14 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        merged = dict(_DEFAULTS[self.kind])
+        impl = _IMPLS[self.kind]
+        merged = dict(impl.defaults)
         unknown = set(self.hyperparams) - set(merged)
         if unknown:
             raise ValueError(f"unknown {self.kind} hyperparams: {sorted(unknown)}")
         merged.update(self.hyperparams)
-        if self.kind == "mlp":
-            merged["hidden_layers"] = tuple(int(h) for h in merged["hidden_layers"])
+        impl.check(merged)
         object.__setattr__(self, "hyperparams", merged)
-        self._validate()
-
-    def _validate(self):
-        hp = self.hyperparams
-        if self.kind == "knn":
-            if hp["k"] < 1:
-                raise ValueError("knn requires k >= 1")
-            if hp["weights"] not in ("uniform", "distance"):
-                raise ValueError("knn weights must be 'uniform' or 'distance'")
-        elif self.kind in ("decision_tree", "random_forest"):
-            if hp["max_depth"] is not None and hp["max_depth"] < 1:
-                raise ValueError("max_depth must be >= 1 or None for unlimited")
-            if self.kind == "random_forest" and hp["n_trees"] < 1:
-                raise ValueError("random_forest requires n_trees >= 1")
-        elif self.kind == "mlp":
-            layers = hp["hidden_layers"]
-            if len(layers) < 1 or any(h < 1 for h in layers):
-                raise ValueError("mlp requires >= 1 hidden layer with sizes >= 1")
 
     def name(self) -> str:
         return self.kind
@@ -103,12 +60,25 @@ def _validate_training(x: np.ndarray, codes: np.ndarray, n_classes: int):
 # --- k-nearest neighbors ----------------------------------------------------
 
 class _Knn:
+    defaults = {"k": 5, "weights": "uniform"}
+
     def __init__(self, x, codes, n_classes, k, weights):
         self.x = x
         self.codes = codes
         self.n_classes = n_classes
         self.k = min(k, x.shape[0])
         self.weights = weights
+
+    @staticmethod
+    def check(hp):
+        if hp["k"] < 1:
+            raise ValueError("knn requires k >= 1")
+        if hp["weights"] not in ("uniform", "distance"):
+            raise ValueError("knn weights must be 'uniform' or 'distance'")
+
+    @staticmethod
+    def fit(x, codes, n_classes, hp, seed):
+        return _Knn(x.copy(), codes, n_classes, hp["k"], hp["weights"])
 
     def predict_proba(self, x):
         d2 = np.sum((x[:, None, :] - self.x[None, :, :]) ** 2, axis=2)
@@ -141,13 +111,19 @@ class _Knn:
 # --- Gaussian naive Bayes ---------------------------------------------------
 
 class _GaussianNb:
+    defaults = {"var_smoothing": 1e-9}
+
     def __init__(self, priors, means, variances):
         self.priors = priors
         self.means = means
         self.variances = variances
 
     @staticmethod
-    def fit(x, codes, n_classes, var_smoothing):
+    def check(hp):
+        pass
+
+    @staticmethod
+    def fit(x, codes, n_classes, hp, seed):
         n, d = x.shape
         priors = np.bincount(codes, minlength=n_classes) / n
         means = np.zeros((n_classes, d))
@@ -157,7 +133,7 @@ class _GaussianNb:
             means[c] = xc.mean(axis=0)
             variances[c] = xc.var(axis=0)
         # Variance floor keeps zero-variance features usable.
-        floor = var_smoothing * max(float(x.var(axis=0).max()), 1.0)
+        floor = hp["var_smoothing"] * max(float(x.var(axis=0).max()), 1.0)
         variances += floor
         return _GaussianNb(priors, means, variances)
 
@@ -184,6 +160,8 @@ class _GaussianNb:
 class _Tree:
     """Flat-array binary tree: feature < 0 marks a leaf."""
 
+    defaults = {"max_depth": None, "min_samples_split": 2}
+
     def __init__(self, feature, threshold, left, right, probs):
         self.feature = feature
         self.threshold = threshold
@@ -192,7 +170,14 @@ class _Tree:
         self.probs = probs
 
     @staticmethod
-    def fit(x, codes, n_classes, max_depth, min_samples_split, max_features, rng):
+    def check(hp):
+        if hp["max_depth"] is not None and hp["max_depth"] < 1:
+            raise ValueError("max_depth must be >= 1 or None for unlimited")
+
+    @staticmethod
+    def fit(x, codes, n_classes, hp, seed, max_features=None, rng=None):
+        """Grow one tree; a forest passes its feature subsampling and rng."""
+        max_depth, min_samples_split = hp["max_depth"], hp["min_samples_split"]
         n, d = x.shape
         feature: list[int] = []
         threshold: list[float] = []
@@ -267,7 +252,7 @@ class _Tree:
         }
 
     @staticmethod
-    def from_arrays(arrays, prefix=""):
+    def from_arrays(arrays, hp, n_classes, prefix=""):
         return _Tree(
             arrays[f"{prefix}feature"],
             arrays[f"{prefix}threshold"],
@@ -321,8 +306,22 @@ def _best_split(x, codes, idx, n_classes, max_features, rng):
 # --- random forest ------------------------------------------------------------
 
 class _Forest:
+    defaults = {
+        "n_trees": 50,
+        "max_depth": None,
+        "min_samples_split": 2,
+        "max_features": "sqrt",
+        "bootstrap": True,
+    }
+
     def __init__(self, trees):
         self.trees = trees
+
+    @staticmethod
+    def check(hp):
+        _Tree.check(hp)
+        if hp["n_trees"] < 1:
+            raise ValueError("random_forest requires n_trees >= 1")
 
     @staticmethod
     def fit(x, codes, n_classes, hp, seed):
@@ -335,12 +334,7 @@ class _Forest:
         for i in range(hp["n_trees"]):
             rng = np.random.default_rng([seed, i])
             idx = rng.integers(0, n, size=n) if hp["bootstrap"] else np.arange(n)
-            trees.append(
-                _Tree.fit(
-                    x[idx], codes[idx], n_classes,
-                    hp["max_depth"], hp["min_samples_split"], max_features, rng,
-                )
-            )
+            trees.append(_Tree.fit(x[idx], codes[idx], n_classes, hp, seed, max_features, rng))
         return _Forest(trees)
 
     def predict_proba(self, x):
@@ -357,8 +351,8 @@ class _Forest:
 
     @staticmethod
     def from_arrays(arrays, hp, n_classes):
-        n_trees = int(arrays["n_trees"][0])
-        return _Forest([_Tree.from_arrays(arrays, prefix=f"t{i}_") for i in range(n_trees)])
+        trees = range(int(arrays["n_trees"][0]))
+        return _Forest([_Tree.from_arrays(arrays, hp, n_classes, f"t{i}_") for i in trees])
 
 
 # --- multi-layer perceptron ---------------------------------------------------
@@ -412,10 +406,26 @@ def mlp_loss_and_grads(params: list[np.ndarray], x: np.ndarray, codes: np.ndarra
 
 
 class _Mlp:
+    defaults = {
+        "hidden_layers": (64,),
+        "learning_rate": 0.01,
+        "momentum": 0.9,
+        "batch_size": 32,
+        "max_epochs": 300,
+        "patience": 20,
+        "tol": 1e-6,
+    }
+
     def __init__(self, params, n_classes):
         self.params = params
         self.n_classes = n_classes
         self.loss_curve: list[float] = []
+
+    @staticmethod
+    def check(hp):
+        hp["hidden_layers"] = tuple(int(h) for h in hp["hidden_layers"])
+        if len(hp["hidden_layers"]) < 1 or any(h < 1 for h in hp["hidden_layers"]):
+            raise ValueError("mlp requires >= 1 hidden layer with sizes >= 1")
 
     @staticmethod
     def fit(x, codes, n_classes, hp, seed):
@@ -463,6 +473,11 @@ class _Mlp:
         return _Mlp([arrays[f"p{i}"] for i in range(n_params)], n_classes)
 
 
+# The one place a model kind is registered. Each class carries its default
+# hyperparameters and the shared interface: check(hp) validates merged
+# hyperparameters in place, fit(x, codes, n_classes, hp, seed) and
+# from_arrays(arrays, hp, n_classes) build an instance, which provides
+# predict_proba(x) and arrays().
 _IMPLS = {
     "knn": _Knn,
     "gaussian_nb": _GaussianNb,
@@ -470,6 +485,7 @@ _IMPLS = {
     "random_forest": _Forest,
     "mlp": _Mlp,
 }
+MODEL_KINDS = tuple(_IMPLS)
 
 
 @dataclass(frozen=True)
@@ -495,20 +511,7 @@ def fit(spec: ModelSpec, matrix: FeatureMatrix, y: Sequence[str] | None = None) 
     class_ids, codes = np.unique(np.asarray(labels), return_inverse=True)
     x = matrix.values
     _validate_training(x, codes, len(class_ids))
-    hp = spec.hyperparams
-    if spec.kind == "knn":
-        impl = _Knn(x.copy(), codes, len(class_ids), hp["k"], hp["weights"])
-    elif spec.kind == "gaussian_nb":
-        impl = _GaussianNb.fit(x, codes, len(class_ids), hp["var_smoothing"])
-    elif spec.kind == "decision_tree":
-        impl = _Tree.fit(
-            x, codes, len(class_ids), hp["max_depth"], hp["min_samples_split"],
-            None, np.random.default_rng(spec.seed),
-        )
-    elif spec.kind == "random_forest":
-        impl = _Forest.fit(x, codes, len(class_ids), hp, spec.seed)
-    else:
-        impl = _Mlp.fit(x, codes, len(class_ids), hp, spec.seed)
+    impl = _IMPLS[spec.kind].fit(x, codes, len(class_ids), spec.hyperparams, spec.seed)
     return TrainedModel(spec, tuple(str(c) for c in class_ids), matrix.feature_names, impl)
 
 
@@ -567,17 +570,7 @@ def load_model(path) -> TrainedModel:
         k: (tuple(v) if isinstance(v, list) else v) for k, v in header["hyperparams"].items()
     }
     spec = ModelSpec(header["kind"], hp, header["seed"])
-    n_classes = len(header["class_ids"])
-    if spec.kind == "knn":
-        impl = _Knn.from_arrays(arrays, spec.hyperparams, n_classes)
-    elif spec.kind == "gaussian_nb":
-        impl = _GaussianNb.from_arrays(arrays, spec.hyperparams, n_classes)
-    elif spec.kind == "decision_tree":
-        impl = _Tree.from_arrays(arrays)
-    elif spec.kind == "random_forest":
-        impl = _Forest.from_arrays(arrays, spec.hyperparams, n_classes)
-    else:
-        impl = _Mlp.from_arrays(arrays, spec.hyperparams, n_classes)
+    impl = _IMPLS[spec.kind].from_arrays(arrays, spec.hyperparams, len(header["class_ids"]))
     return TrainedModel(
         spec, tuple(header["class_ids"]), tuple(header["feature_names"]), impl
     )

@@ -15,14 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooFewSubcarriersRemain, WindowTooLarge
+from .features import subcarrier_energy
 from .model import CsiMatrix
 
 MAD_FACTOR = 6.0
-
-
-def subcarrier_energy(m: CsiMatrix) -> np.ndarray:
-    """Mean squared magnitude per subcarrier, E(f_k)."""
-    return np.mean(np.abs(m.values) ** 2, axis=1)
 
 
 def iqr_fences(energies: np.ndarray) -> tuple[float, float]:
@@ -53,13 +49,7 @@ def iqr_subcarrier_filter(m: CsiMatrix) -> tuple[CsiMatrix, list[int]]:
         )
     if not removed:
         return m, []
-    filtered = CsiMatrix(
-        values=m.values[keep, :],
-        freqs=m.freqs[keep],
-        sample_rate_hint=m.sample_rate_hint,
-        meta=m.meta,
-    )
-    return filtered, removed
+    return CsiMatrix(values=m.values[keep, :], freqs=m.freqs[keep], meta=m.meta), removed
 
 
 @dataclass(frozen=True)

@@ -137,24 +137,28 @@ def _cmd_ingest(args) -> int:
 
 # --- features ----------------------------------------------------------------
 
-def _protocol(args) -> harness.ProtocolConfig:
-    if args.config:
-        raw = _load_json(args.config)
-        cfg = raw.get("protocol", raw)
-    else:
-        cfg = {}
-    if args.window_size is not None:
-        cfg["window_size"] = args.window_size
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+def _load_config(args) -> tuple[harness.ProtocolConfig, dict]:
+    """Read --config, apply --window-size / --seed, build the protocol.
+
+    ``features`` also accepts a bare protocol object at the top level;
+    ``evaluate`` reads the protocol only from the ``protocol`` key.
+    """
+    raw = _load_json(args.config) if args.config else {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    section = raw.get("protocol", raw if args.command == "features" else {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"protocol must be a JSON object, got {type(section).__name__}")
+    overrides = {"window_size": args.window_size, "seed": args.seed}
+    section = {**section, **{k: v for k, v in overrides.items() if v is not None}}
     try:
-        return harness.protocol_from_dict(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        return harness.protocol_from_dict(section), raw
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {args.command} config: {exc}") from exc
 
 
 def _cmd_features(args) -> int:
-    protocol = _protocol(args)
+    protocol, _ = _load_config(args)
     if args.print_config:
         print(json.dumps(protocol.to_dict(), indent=2, sort_keys=True))
         return EXIT_OK
@@ -164,10 +168,7 @@ def _cmd_features(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / "features.csv"
     with open(path, "w", newline="") as fh:
-        fh.write(
-            f"# csibio {__version__} config={protocol.digest()} "
-            f"dataset={dataset.digest()} seed={protocol.seed}\n"
-        )
+        fh.write(report.provenance_line(protocol.digest(), dataset.digest(), protocol.seed) + "\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(
             ["record_index", "window_start", "subject_id", "sample_index",
@@ -186,23 +187,22 @@ def _cmd_features(args) -> int:
 # --- evaluate -----------------------------------------------------------------
 
 def _evaluate_config(args) -> tuple[harness.ProtocolConfig, list[ModelSpec], dict]:
-    raw = _load_json(args.config) if args.config else {}
-    protocol_dict = raw.get("protocol", {})
-    if args.window_size is not None:
-        protocol_dict["window_size"] = args.window_size
-    if args.seed is not None:
-        protocol_dict["seed"] = args.seed
+    """The shared config plus the model list, checked before any data is read."""
+    protocol, raw = _load_config(args)
     try:
-        protocol = harness.protocol_from_dict(protocol_dict)
-        model_dicts = raw.get("models", DEFAULT_MODELS)
         models = [
             ModelSpec(m["kind"], m.get("hyperparams", {}), seed=protocol.seed)
-            for m in model_dicts
+            for m in raw.get("models", DEFAULT_MODELS)
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad evaluate config: {exc}") from exc
-    if not models:
+    kinds = [m.kind for m in models]
+    if not kinds:
         raise ConfigError("evaluate config lists no models")
+    if len(set(kinds)) != len(kinds):
+        raise ConfigError(f"evaluate config lists a model kind twice: {kinds}")
+    if raw.get("audit", True) and raw.get("audit_model", kinds[0]) not in kinds:
+        raise ConfigError(f"audit_model {raw['audit_model']!r} is not one of the models {kinds}")
     return protocol, models, raw
 
 

@@ -26,37 +26,7 @@ import numpy as np
 from .errors import FeatureGroupError, ZeroEnergyWindow, ZeroSpectrum
 from .model import CsiMatrix, FeatureVector
 
-ALL_GROUPS = (
-    "amplitude",
-    "phase",
-    "energy",
-    "spectral",
-    "empirical_energy",
-    "temporal",
-    "stability",
-    "correlation",
-    "roughness",
-    "curvature",
-)
-
-
-@dataclass(frozen=True)
-class FeatureSetConfig:
-    """Which groups to compute and the degenerate-denominator floor."""
-
-    enabled_groups: frozenset[str] = frozenset(ALL_GROUPS)
-    epsilon: float = 1e-12
-
-    def __post_init__(self):
-        object.__setattr__(self, "enabled_groups", frozenset(self.enabled_groups))
-        unknown = self.enabled_groups - set(ALL_GROUPS)
-        if unknown:
-            raise ValueError(f"unknown feature groups: {sorted(unknown)}")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-
-
-DEFAULT_CONFIG = FeatureSetConfig()
+EPSILON = 1e-12  # default degenerate-denominator floor
 
 
 def _require(cond: bool, msg: str):
@@ -98,7 +68,7 @@ def _pop_skew_kurt(
     return skew, kurt, degenerate
 
 
-def amplitude_features(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG):
+def amplitude_features(m: CsiMatrix, epsilon: float = EPSILON):
     """Moments of |H|: grand mean, cross-subcarrier spread, skew, kurtosis."""
     _require(m.n_subcarriers >= 2 and m.n_samples >= 2, "need K >= 2 and T >= 2")
     amps = m.amplitude()
@@ -106,7 +76,7 @@ def amplitude_features(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG):
     per_k_var = _sample_var(amps)
     amp_mean = per_k_mean.mean()
     amp_var_mean = per_k_var.mean()
-    skew, kurt, degenerate = _pop_skew_kurt(amps, cfg.epsilon)
+    skew, kurt, degenerate = _pop_skew_kurt(amps, epsilon)
     flags = ["amplitude:degenerate_moment"] if degenerate.any() else []
     values = {
         "amp_mean": amp_mean,
@@ -119,7 +89,7 @@ def amplitude_features(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG):
     return values, flags
 
 
-def phase_features(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG):
+def phase_features(m: CsiMatrix, epsilon: float = EPSILON):
     """Phase level and texture: per-subcarrier stds and adjacent-difference stds."""
     _require(m.n_subcarriers >= 3 and m.n_samples >= 2, "need K >= 3 and T >= 2")
     phases = m.phase()
@@ -146,14 +116,14 @@ def subcarrier_energy(m: CsiMatrix) -> np.ndarray:
     return np.mean(np.abs(m.values) ** 2, axis=1)
 
 
-def energy_features(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG):
+def energy_features(m: CsiMatrix, epsilon: float = EPSILON):
     """Distribution of E(f_k) over subcarriers: level, shape, entropy in bits."""
     _require(m.n_subcarriers >= 2, "need K >= 2")
     energies = subcarrier_energy(m)
     total = energies.sum()
     if total <= 0:
         raise ZeroEnergyWindow("window has zero total energy")
-    skew, kurt, degenerate = _pop_skew_kurt(energies[None, :], cfg.epsilon)
+    skew, kurt, degenerate = _pop_skew_kurt(energies[None, :], epsilon)
     p = energies / total
     nz = p > 0
     entropy = float(-np.sum(p[nz] * np.log2(p[nz])))
@@ -172,7 +142,7 @@ def mean_magnitude_spectrum(m: CsiMatrix) -> np.ndarray:
     return m.amplitude().mean(axis=1)
 
 
-def spectral_features(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG):
+def spectral_features(m: CsiMatrix, epsilon: float = EPSILON):
     """Shape of the time-averaged magnitude: centroids, entropy, flatness, width.
 
     spec_centroid weights physical frequencies (Hz); spectral_centroid_amp
@@ -187,7 +157,7 @@ def spectral_features(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG):
     w = spectrum / total
     nz = w > 0
     entropy = float(-np.sum(w[nz] * np.log2(w[nz])))
-    floored = np.maximum(spectrum, cfg.epsilon)
+    floored = np.maximum(spectrum, epsilon)
     flatness = float(np.exp(np.mean(np.log(floored))) / floored.mean())
     k = np.arange(1, m.n_subcarriers + 1, dtype=np.float64)
     centroid_amp = float(np.sum(k * spectrum) / total)
@@ -201,7 +171,7 @@ def spectral_features(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG):
     return values, []
 
 
-def empirical_energy_features(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG):
+def empirical_energy_features(m: CsiMatrix, epsilon: float = EPSILON):
     """Reflected/absorbed/refracted energy split, normalized to sum to 1.
 
     Reflected pools subcarriers with energy >= the mean, absorbed those
@@ -235,7 +205,7 @@ def empirical_energy_features(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONF
     return values, flags
 
 
-def temporal_features(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG):
+def temporal_features(m: CsiMatrix, epsilon: float = EPSILON):
     """Amplitude fluctuation over time: mean/spread of per-subcarrier stds."""
     _require(m.n_subcarriers >= 2 and m.n_samples >= 2, "need K >= 2 and T >= 2")
     amps = m.amplitude()
@@ -243,7 +213,7 @@ def temporal_features(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG):
     v_mean = variability.mean()
     grand_mean = amps.mean()
     flags = []
-    if grand_mean > cfg.epsilon:
+    if grand_mean > epsilon:
         cv = v_mean / grand_mean
     else:
         cv = 0.0
@@ -258,13 +228,13 @@ def temporal_features(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG):
     return values, flags
 
 
-def stability_features(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG):
+def stability_features(m: CsiMatrix, epsilon: float = EPSILON):
     """Per-subcarrier coefficient of variation of |H|, aggregated over k."""
     _require(m.n_subcarriers >= 2 and m.n_samples >= 2, "need K >= 2 and T >= 2")
     amps = m.amplitude()
     mean_k = amps.mean(axis=1)
     std_k = _sample_std(amps, axis=1)
-    degenerate = mean_k <= cfg.epsilon
+    degenerate = mean_k <= epsilon
     cv = np.where(degenerate, 0.0, std_k / np.where(degenerate, 1.0, mean_k))
     flags = ["stability:zero_mean_subcarrier"] if degenerate.any() else []
     cv_mean = cv.mean()
@@ -275,7 +245,7 @@ def stability_features(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG):
     return values, flags
 
 
-def correlation_features(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG):
+def correlation_features(m: CsiMatrix, epsilon: float = EPSILON):
     """Pearson correlation between adjacent subcarriers' amplitude series."""
     _require(m.n_subcarriers >= 3, "need K >= 3")
     _require(m.n_samples >= 3, "need T >= 3")
@@ -284,7 +254,7 @@ def correlation_features(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG):
     var = np.mean(centered**2, axis=1)
     cov = np.mean(centered[:-1] * centered[1:], axis=1)
     denom = np.sqrt(var[:-1] * var[1:])
-    degenerate = denom < cfg.epsilon
+    degenerate = denom < epsilon
     rho = np.where(degenerate, 0.0, cov / np.where(degenerate, 1.0, denom))
     flags = ["correlation:zero_variance_pair"] if degenerate.any() else []
     rho_mean = rho.mean()
@@ -296,7 +266,7 @@ def correlation_features(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG):
     return values, flags
 
 
-def roughness_features(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG):
+def roughness_features(m: CsiMatrix, epsilon: float = EPSILON):
     """First-order absolute differences of the time-averaged magnitude."""
     _require(m.n_subcarriers >= 3, "need K >= 3")
     spectrum = mean_magnitude_spectrum(m)
@@ -310,7 +280,7 @@ def roughness_features(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG):
     return values, []
 
 
-def curvature_features(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG):
+def curvature_features(m: CsiMatrix, epsilon: float = EPSILON):
     """Second-order absolute differences of the time-averaged magnitude."""
     _require(m.n_subcarriers >= 4, "need K >= 4")
     spectrum = mean_magnitude_spectrum(m)
@@ -324,52 +294,64 @@ def curvature_features(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG):
     return values, []
 
 
-GROUP_FUNCTIONS = {
-    "amplitude": amplitude_features,
-    "phase": phase_features,
-    "energy": energy_features,
-    "spectral": spectral_features,
-    "empirical_energy": empirical_energy_features,
-    "temporal": temporal_features,
-    "stability": stability_features,
-    "correlation": correlation_features,
-    "roughness": roughness_features,
-    "curvature": curvature_features,
+# Group name -> (function, the names it emits in order), in output order.
+GROUPS = {
+    "amplitude": (amplitude_features, (
+        "amp_mean", "amp_mean_std", "amp_var_mean",
+        "amp_var_std", "amp_skew_mean", "amp_kurt_mean",
+    )),
+    "phase": (phase_features, (
+        "phase_mean_mean", "phase_std_mean", "phase_std_std",
+        "dphi_std_mean", "dphi_std_std",
+    )),
+    "energy": (energy_features, (
+        "energy_mean", "energy_skewness", "energy_kurtosis", "energy_entropy",
+    )),
+    "spectral": (spectral_features, (
+        "spec_centroid", "spec_entropy", "spec_flatness",
+        "spectral_centroid_amp", "spectral_width",
+    )),
+    "empirical_energy": (empirical_energy_features, (
+        "energy_reflected_emp", "energy_absorbed_emp", "energy_refracted_emp",
+    )),
+    "temporal": (temporal_features, (
+        "temporal_variability_mean", "temporal_variability_std", "temporal_variability_cv",
+    )),
+    "stability": (stability_features, ("stability_mean_cv", "stability_std_cv")),
+    "correlation": (correlation_features, (
+        "adjacent_correlation_mean", "adjacent_correlation_std",
+    )),
+    "roughness": (roughness_features, ("spectral_roughness_mean", "spectral_roughness_std")),
+    "curvature": (curvature_features, ("spectral_curvature_mean", "spectral_curvature_std")),
 }
+ALL_GROUPS = tuple(GROUPS)
+
+
+@dataclass(frozen=True)
+class FeatureSetConfig:
+    """Which groups to compute and the degenerate-denominator floor."""
+
+    enabled_groups: frozenset[str] = frozenset(ALL_GROUPS)
+    epsilon: float = EPSILON
+
+    def __post_init__(self):
+        object.__setattr__(self, "enabled_groups", frozenset(self.enabled_groups))
+        unknown = self.enabled_groups - set(ALL_GROUPS)
+        if unknown:
+            raise ValueError(f"unknown feature groups: {sorted(unknown)}")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be positive")
+
+
+DEFAULT_CONFIG = FeatureSetConfig()
 
 
 def feature_names(cfg: FeatureSetConfig = DEFAULT_CONFIG) -> tuple[str, ...]:
     """The deterministic output order of extract_all for this config."""
-    names = {
-        "amplitude": (
-            "amp_mean", "amp_mean_std", "amp_var_mean",
-            "amp_var_std", "amp_skew_mean", "amp_kurt_mean",
-        ),
-        "phase": (
-            "phase_mean_mean", "phase_std_mean", "phase_std_std",
-            "dphi_std_mean", "dphi_std_std",
-        ),
-        "energy": ("energy_mean", "energy_skewness", "energy_kurtosis", "energy_entropy"),
-        "spectral": (
-            "spec_centroid", "spec_entropy", "spec_flatness",
-            "spectral_centroid_amp", "spectral_width",
-        ),
-        "empirical_energy": (
-            "energy_reflected_emp", "energy_absorbed_emp", "energy_refracted_emp",
-        ),
-        "temporal": (
-            "temporal_variability_mean", "temporal_variability_std",
-            "temporal_variability_cv",
-        ),
-        "stability": ("stability_mean_cv", "stability_std_cv"),
-        "correlation": ("adjacent_correlation_mean", "adjacent_correlation_std"),
-        "roughness": ("spectral_roughness_mean", "spectral_roughness_std"),
-        "curvature": ("spectral_curvature_mean", "spectral_curvature_std"),
-    }
     out: list[str] = []
-    for group in ALL_GROUPS:
+    for group, (_, names) in GROUPS.items():
         if group in cfg.enabled_groups:
-            out.extend(names[group])
+            out.extend(names)
     return tuple(out)
 
 
@@ -381,12 +363,11 @@ def extract_all(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG) -> Feature
     names: list[str] = []
     values: list[float] = []
     flags: list[str] = []
-    for group in ALL_GROUPS:
+    for group, (fn, _) in GROUPS.items():
         if group not in cfg.enabled_groups:
             continue
-        fn = GROUP_FUNCTIONS[group]
         try:
-            group_values, group_flags = fn(m, cfg)
+            group_values, group_flags = fn(m, cfg.epsilon)
         except (ValueError, ZeroEnergyWindow, ZeroSpectrum) as exc:
             raise FeatureGroupError(group, exc) from exc
         names.extend(group_values)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -93,28 +93,7 @@ class ProtocolConfig:
         return select.MrmrConfig(self.selection_k, self.mi_bins, self.binning)
 
     def to_dict(self) -> dict:
-        return {
-            "window_size": self.window_size,
-            "window_stride": self.window_stride,
-            "folds": self.folds,
-            "split_mode": self.split_mode,
-            "normalization": self.normalization,
-            "selection_k": self.selection_k,
-            "mi_bins": self.mi_bins,
-            "binning": self.binning,
-            "hand_filter": self.hand_filter,
-            "feature_groups": sorted(self.feature_groups),
-            "preprocess": {
-                "calibrate": self.preprocess.calibrate,
-                "cfo_scope": self.preprocess.cfo_scope,
-                "iqr_filter": self.preprocess.iqr_filter,
-                "mad_window": self.preprocess.mad_window,
-            },
-            "grids": self.grids,
-            "fcs_bins": self.fcs_bins,
-            "bioquake_resamples": self.bioquake_resamples,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "feature_groups": sorted(self.feature_groups)}
 
     def digest(self) -> str:
         return hashlib.sha256(
@@ -122,30 +101,29 @@ class ProtocolConfig:
         ).hexdigest()
 
 
+# Coercion of a JSON value, keyed by the field's annotation string (annotations
+# are postponed here); str, optional-int and frozenset fields pass through as-is.
+_COERCE = {"int": int, "bool": bool, "dict": dict}
+
+
+def _from_dict(cls, d: dict):
+    """Build a config dataclass from a dict; absent keys keep their defaults."""
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in d:
+            continue
+        value = d[f.name]
+        if is_dataclass(f.default):
+            value = _from_dict(type(f.default), value)
+        elif f.type in _COERCE:
+            value = _COERCE[f.type](value)
+        kwargs[f.name] = value
+    return cls(**kwargs)
+
+
 def protocol_from_dict(d: dict) -> ProtocolConfig:
-    pp = d.get("preprocess", {})
-    return ProtocolConfig(
-        window_size=int(d.get("window_size", 50)),
-        window_stride=d.get("window_stride"),
-        folds=int(d.get("folds", 10)),
-        split_mode=d.get("split_mode", "per_acquisition_holdout"),
-        normalization=d.get("normalization", "within_fold_zscore"),
-        selection_k=int(d.get("selection_k", 16)),
-        mi_bins=int(d.get("mi_bins", 10)),
-        binning=d.get("binning", "equal_frequency"),
-        hand_filter=d.get("hand_filter", "right"),
-        feature_groups=frozenset(d.get("feature_groups", features.ALL_GROUPS)),
-        preprocess=PreprocessConfig(
-            calibrate=bool(pp.get("calibrate", True)),
-            cfo_scope=pp.get("cfo_scope", "per_sample"),
-            iqr_filter=bool(pp.get("iqr_filter", True)),
-            mad_window=pp.get("mad_window", 9),
-        ),
-        grids=dict(d.get("grids", {})),
-        fcs_bins=int(d.get("fcs_bins", 50)),
-        bioquake_resamples=int(d.get("bioquake_resamples", 200)),
-        seed=int(d.get("seed", 0)),
-    )
+    """Inverse of ``ProtocolConfig.to_dict``; unknown keys are ignored."""
+    return _from_dict(ProtocolConfig, d)
 
 
 # --- windowing -----------------------------------------------------------------
@@ -168,7 +146,6 @@ def window_dataset(dataset: Dataset, cfg: ProtocolConfig) -> list[tuple[CsiMatri
             window = CsiMatrix(
                 values=matrix.values[:, start : start + cfg.window_size],
                 freqs=matrix.freqs,
-                sample_rate_hint=matrix.sample_rate_hint,
                 meta={**matrix.meta, "record_index": record_index, "window_start": start},
             )
             out.append((window, label))
@@ -323,15 +300,17 @@ class RunResult:
     dataset_digest: str
     seed: int
 
-    def digest(self) -> str:
-        """Stable digest over every reported number plus provenance."""
-        payload = {
-            "config": self.config_digest,
-            "dataset": self.dataset_digest,
+    def payload(self) -> dict:
+        """Every reported number, keyed as in ``run_result.json``."""
+        return {
             "seed": self.seed,
             "reports": {name: r.to_dict() for name, r in sorted(self.reports.items())},
             "fold_accuracies": {k: list(v) for k, v in sorted(self.fold_accuracies.items())},
         }
+
+    def digest(self) -> str:
+        """Stable digest over every reported number plus provenance."""
+        payload = {"config": self.config_digest, "dataset": self.dataset_digest, **self.payload()}
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()
         ).hexdigest()

@@ -332,12 +332,6 @@ def bioquake_from_scores(genuine: np.ndarray, impostor: np.ndarray,
     )
 
 
-def bioquake(scores: ScoreMatrix, class_id: str, resamples: int = 1000,
-             ci: float = 0.95, seed: int = 0) -> BioQuake:
-    genuine, impostor = class_scores(scores, class_id)
-    return bioquake_from_scores(genuine, impostor, resamples, ci, seed)
-
-
 # --- assembled report -----------------------------------------------------------
 
 @dataclass(frozen=True)

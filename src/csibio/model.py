@@ -53,7 +53,6 @@ class CsiMatrix:
 
     values: np.ndarray
     freqs: np.ndarray
-    sample_rate_hint: float | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):

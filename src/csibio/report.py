@@ -12,126 +12,104 @@ from __future__ import annotations
 import csv
 import json
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
 from .harness import RunResult
 
 
-def _provenance_line(result: RunResult) -> str:
-    return (
-        f"# csibio {__version__} config={result.config_digest} "
-        f"dataset={result.dataset_digest} seed={result.seed}"
-    )
-
-
-def _writer(path: Path, result: RunResult):
-    fh = open(path, "w", newline="")
-    fh.write(_provenance_line(result) + "\n")
-    return fh, csv.writer(fh, lineterminator="\n")
+def provenance_line(config_digest: str, dataset_digest: str, seed: int) -> str:
+    """The ``#`` first line of every CSV this package writes."""
+    return f"# csibio {__version__} config={config_digest} dataset={dataset_digest} seed={seed}"
 
 
 def _fmt(x: float, digits: int = 12) -> str:
     return f"{float(x):.{digits}g}"
 
 
-def write_metrics_summary(path, result: RunResult) -> None:
+def _metrics_summary(result: RunResult):
     """Model-level table: precision/specificity/recall/F1/ROC-AUC/EER."""
-    fh, w = _writer(Path(path), result)
-    with fh:
-        w.writerow(
-            ["model", "accuracy", "precision", "specificity", "recall", "f1",
-             "roc_auc", "eer_pooled", "eer_mean"]
-        )
-        for name in sorted(result.reports):
-            r = result.reports[name]
-            a = r.aggregate
-            w.writerow(
-                [name, _fmt(a["accuracy"]), _fmt(a["macro_precision"]),
-                 _fmt(a["macro_specificity"]), _fmt(a["macro_recall"]),
-                 _fmt(a["macro_f1"]), _fmt(r.auc_macro), _fmt(r.pooled.eer),
-                 _fmt(r.eer_mean)]
-            )
+    for name, r in sorted(result.reports.items()):
+        a = r.aggregate
+        yield [name, _fmt(a["accuracy"]), _fmt(a["macro_precision"]),
+               _fmt(a["macro_specificity"]), _fmt(a["macro_recall"]),
+               _fmt(a["macro_f1"]), _fmt(r.auc_macro), _fmt(r.pooled.eer),
+               _fmt(r.eer_mean)]
 
 
-def write_gini(path, result: RunResult) -> None:
+def _gini(result: RunResult):
     """Per-model FAR/FRR rates and Gini coefficients at EER thresholds."""
-    fh, w = _writer(Path(path), result)
-    with fh:
-        w.writerow(["model", "far", "frr", "gc_far", "gc_frr", "gc_mean", "flags"])
-        for name in sorted(result.reports):
-            g = result.reports[name].gini_data
-            w.writerow(
-                [name, _fmt(g.far_rate), _fmt(g.frr_rate), _fmt(g.gc_far),
-                 _fmt(g.gc_frr), _fmt(g.gc_mean), ";".join(g.flags)]
-            )
+    for name, r in sorted(result.reports.items()):
+        g = r.gini_data
+        yield [name, _fmt(g.far_rate), _fmt(g.frr_rate), _fmt(g.gc_far),
+               _fmt(g.gc_frr), _fmt(g.gc_mean), ";".join(g.flags)]
 
 
-def write_bioquake(path, result: RunResult) -> None:
+def _bioquake(result: RunResult):
     """Per-model EER with bootstrap uncertainty and CI width."""
-    fh, w = _writer(Path(path), result)
-    with fh:
-        w.writerow(["model", "eer", "uncertainty", "ci_width"])
-        for name in sorted(result.reports):
-            b = result.reports[name].bioquake_data
-            w.writerow([name, _fmt(b.eer), _fmt(b.uncertainty), _fmt(b.ci_width)])
+    for name, r in sorted(result.reports.items()):
+        b = r.bioquake_data
+        yield [name, _fmt(b.eer), _fmt(b.uncertainty), _fmt(b.ci_width)]
 
 
-def write_eer_per_class(path, result: RunResult) -> None:
+def _eer_per_class(result: RunResult):
     """Per-subject EER operating points for every model."""
-    fh, w = _writer(Path(path), result)
-    with fh:
-        w.writerow(["model", "class_id", "eer", "threshold", "far", "frr", "interpolated"])
-        for name in sorted(result.reports):
-            for e in result.reports[name].eer_results:
-                w.writerow(
-                    [name, e.class_id, _fmt(e.eer), _fmt(e.threshold),
-                     _fmt(e.far_at_threshold), _fmt(e.frr_at_threshold),
-                     int(e.interpolated)]
-                )
+    for name, r in sorted(result.reports.items()):
+        for e in r.eer_results:
+            yield [name, e.class_id, _fmt(e.eer), _fmt(e.threshold),
+                   _fmt(e.far_at_threshold), _fmt(e.frr_at_threshold), int(e.interpolated)]
 
 
-def write_fcs_histogram(path, result: RunResult) -> None:
+def _fcs_histogram(result: RunResult):
     """Genuine/impostor score histograms for external plotting."""
-    fh, w = _writer(Path(path), result)
-    with fh:
-        w.writerow(["model", "bin_lo", "bin_hi", "genuine_count", "impostor_count"])
-        for name in sorted(result.reports):
-            f = result.reports[name].fcs_data
-            for i in range(f.genuine_counts.shape[0]):
-                w.writerow(
-                    [name, _fmt(f.bin_edges[i]), _fmt(f.bin_edges[i + 1]),
-                     int(f.genuine_counts[i]), int(f.impostor_counts[i])]
-                )
+    for name, r in sorted(result.reports.items()):
+        f = r.fcs_data
+        for i in range(f.genuine_counts.shape[0]):
+            yield [name, _fmt(f.bin_edges[i]), _fmt(f.bin_edges[i + 1]),
+                   int(f.genuine_counts[i]), int(f.impostor_counts[i])]
 
 
-def write_feature_ranking(path, result: RunResult) -> None:
+def _feature_ranking(result: RunResult):
     """Descriptive full-dataset mRMR ranking (plot data, not a fit input)."""
-    fh, w = _writer(Path(path), result)
-    with fh:
-        w.writerow(["rank", "name", "relevance", "redundancy", "score"])
-        for rank, r in enumerate(result.feature_ranking, start=1):
-            w.writerow([rank, r.name, _fmt(r.relevance), _fmt(r.redundancy), _fmt(r.score)])
+    for rank, r in enumerate(result.feature_ranking, start=1):
+        yield [rank, r.name, _fmt(r.relevance), _fmt(r.redundancy), _fmt(r.score)]
+
+
+# File name -> (header, row generator), in bundle order.
+_TABLES = {
+    "metrics_summary.csv": (
+        ["model", "accuracy", "precision", "specificity", "recall", "f1",
+         "roc_auc", "eer_pooled", "eer_mean"],
+        _metrics_summary,
+    ),
+    "gini.csv": (["model", "far", "frr", "gc_far", "gc_frr", "gc_mean", "flags"], _gini),
+    "bioquake.csv": (["model", "eer", "uncertainty", "ci_width"], _bioquake),
+    "eer_per_class.csv": (
+        ["model", "class_id", "eer", "threshold", "far", "frr", "interpolated"],
+        _eer_per_class,
+    ),
+    "fcs_histogram.csv": (
+        ["model", "bin_lo", "bin_hi", "genuine_count", "impostor_count"],
+        _fcs_histogram,
+    ),
+    "feature_ranking.csv": (
+        ["rank", "name", "relevance", "redundancy", "score"],
+        _feature_ranking,
+    ),
+}
 
 
 def write_run_result(path, result: RunResult, include_timestamp: bool = True) -> None:
     """Full JSON result; ``generated_at`` is excluded from the digest."""
+    audit = result.leakage_audit
     payload = {
         "tool": f"csibio {__version__}",
         "config_digest": result.config_digest,
         "dataset_digest": result.dataset_digest,
-        "seed": result.seed,
         "result_digest": result.digest(),
-        "reports": {name: r.to_dict() for name, r in sorted(result.reports.items())},
-        "fold_accuracies": {k: list(v) for k, v in sorted(result.fold_accuracies.items())},
-        "leakage_audit": None
-        if result.leakage_audit is None
-        else {
-            "leaky_accuracy": result.leakage_audit.leaky_accuracy,
-            "clean_accuracy": result.leakage_audit.clean_accuracy,
-            "delta": result.leakage_audit.delta,
-            "flagged": result.leakage_audit.flagged,
-        },
+        **result.payload(),
+        "leakage_audit": None if audit is None else asdict(audit),
     }
     if include_timestamp:
         payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -142,15 +120,12 @@ def write_all(out_dir, result: RunResult) -> list[str]:
     """Emit the full report bundle; returns the written file names."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    writers = {
-        "metrics_summary.csv": write_metrics_summary,
-        "gini.csv": write_gini,
-        "bioquake.csv": write_bioquake,
-        "eer_per_class.csv": write_eer_per_class,
-        "fcs_histogram.csv": write_fcs_histogram,
-        "feature_ranking.csv": write_feature_ranking,
-        "run_result.json": write_run_result,
-    }
-    for name, fn in writers.items():
-        fn(out / name, result)
-    return list(writers)
+    first_line = provenance_line(result.config_digest, result.dataset_digest, result.seed)
+    for name, (header, rows) in _TABLES.items():
+        with open(out / name, "w", newline="") as fh:
+            fh.write(first_line + "\n")
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(rows(result))
+    write_run_result(out / "run_result.json", result)
+    return [*_TABLES, "run_result.json"]

@@ -265,6 +265,60 @@ class TestEvaluateCommand:
         assert result["leakage_audit"]["delta"] > 0.01
 
 
+def _one_json_error_line(err: str) -> dict:
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    return json.loads(lines[0])
+
+
+class TestConfigErrors:
+    """Config errors exit 2 with one JSON line, before any dataset is read."""
+
+    @pytest.mark.parametrize("command", ["features", "evaluate"])
+    @pytest.mark.parametrize("print_config", [False, True])
+    @pytest.mark.parametrize("top", [[1, 2], "text"])
+    def test_non_object_config_exits_2(self, tmp_path, capsys, command, print_config, top):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(top))
+        argv = [command, str(tmp_path / "missing"), "--config", str(cfg),
+                "--out", str(tmp_path / "o")]
+        assert main(argv + (["--print-config"] if print_config else [])) == 2
+        err = _one_json_error_line(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "JSON object" in err["detail"]
+
+    def test_non_object_protocol_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"protocol": [1]}))
+        assert main(["evaluate", "--config", str(cfg), "--print-config"]) == 2
+        assert _one_json_error_line(capsys.readouterr().err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("print_config", [False, True])
+    def test_audit_model_not_listed_exits_2(self, tmp_path, capsys, print_config):
+        cfg = _protocol_file(tmp_path, audit_model="random_forest")
+        argv = ["evaluate", str(tmp_path / "missing"), "--config", str(cfg),
+                "--out", str(tmp_path / "o")]
+        assert main(argv + (["--print-config"] if print_config else [])) == 2
+        err = _one_json_error_line(capsys.readouterr().err)
+        assert "audit_model" in err["detail"]
+
+    def test_audit_model_unchecked_when_audit_off(self, tmp_path, capsys):
+        cfg = _protocol_file(tmp_path, audit=False, audit_model="random_forest")
+        assert main(["evaluate", "--config", str(cfg), "--print-config"]) == 0
+
+    def test_duplicate_model_kinds_exit_2(self, tmp_path, capsys):
+        cfg = _protocol_file(
+            tmp_path,
+            models=[{"kind": "knn", "hyperparams": {"k": 1}},
+                    {"kind": "knn", "hyperparams": {"k": 5}}],
+        )
+        argv = ["evaluate", str(tmp_path / "missing"), "--config", str(cfg),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = _one_json_error_line(capsys.readouterr().err)
+        assert "twice" in err["detail"]
+
+
 class TestUsage:
     def test_missing_out_flag(self):
         assert main(["synth"]) == 2
