@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, harness, ingest, report, synth
@@ -231,8 +232,8 @@ def _cmd_evaluate(args) -> int:
     if raw.get("audit", True):
         audit_kind = raw.get("audit_model", models[0].kind)
         audit_model = next(m for m in models if m.kind == audit_kind)
-        audit = harness.leakage_audit(genuine, protocol, audit_model, ws=ws)
-        result = _with_audit(result, audit)
+        audit = harness.leakage_audit(genuine, protocol, audit_model, ws=ws, result=result)
+        result = replace(result, leakage_audit=audit)
     files = report.write_all(args.out, result)
     print(
         json.dumps(
@@ -253,12 +254,6 @@ def _cmd_evaluate(args) -> int:
 
 def _jsonable(hp: dict) -> dict:
     return {k: (list(v) if isinstance(v, tuple) else v) for k, v in hp.items()}
-
-
-def _with_audit(result: harness.RunResult, audit: harness.LeakageAudit) -> harness.RunResult:
-    from dataclasses import replace
-
-    return replace(result, leakage_audit=audit)
 
 
 # --- entry point -----------------------------------------------------------------

@@ -316,6 +316,27 @@ class RunResult:
         ).hexdigest()
 
 
+def _scaled_rows(matrix: FeatureMatrix, scaler: Scaler, rows=slice(None),
+                 selected: tuple[str, ...] | None = None) -> FeatureMatrix:
+    """Scaled copy of a row subset, restricted to ``selected`` columns if given."""
+    out = FeatureMatrix(
+        matrix.feature_names,
+        scaler.transform(matrix.values[rows]),
+        tuple(np.asarray(matrix.labels)[rows]),
+    )
+    return out if selected is None else out.select(selected)
+
+
+def _scale_and_rank(matrix: FeatureMatrix, cfg: ProtocolConfig, rows=slice(None)
+                    ) -> tuple[Scaler, list[select.RankedFeature]]:
+    """Fit the scaler and the mRMR ranking on ``rows`` only."""
+    scaler = Scaler.fit(matrix.values[rows])
+    ranking = select.mrmr_rank(
+        _scaled_rows(matrix, scaler, rows), np.asarray(matrix.labels)[rows], cfg.mrmr_config()
+    )
+    return scaler, ranking
+
+
 def _cv_scores(
     ws: WindowSet, cfg: ProtocolConfig, models: list[ModelSpec]
 ) -> tuple[dict[str, list[ScoreMatrix]], dict[str, list[float]], list[FoldAudit]]:
@@ -326,37 +347,19 @@ def _cv_scores(
     per_model_scores: dict[str, list[ScoreMatrix]] = {m.name(): [] for m in models}
     per_model_acc: dict[str, list[float]] = {m.name(): [] for m in models}
     audits: list[FoldAudit] = []
-    values = ws.matrix.values
-    labels = np.asarray(ws.subjects)
-    mrmr_cfg = cfg.mrmr_config()
 
     for fold_id, (train_idx, test_idx) in enumerate(folds):
         if cfg.normalization == "global_zscore_leaky":
             fit_rows = np.arange(ws.matrix.n_rows)
         else:
             fit_rows = train_idx
-        scaler = Scaler.fit(values[fit_rows])
-        fit_matrix = FeatureMatrix(
-            ws.matrix.feature_names,
-            scaler.transform(values[fit_rows]),
-            tuple(labels[fit_rows]),
-        )
-        ranking = select.mrmr_rank(fit_matrix, labels[fit_rows], mrmr_cfg)
+        scaler, ranking = _scale_and_rank(ws.matrix, cfg, fit_rows)
         selected = tuple(r.name for r in ranking)
         audits.append(
             FoldAudit(fold_id, tuple(map(int, fit_rows)), tuple(map(int, test_idx)), selected)
         )
-
-        train_matrix = FeatureMatrix(
-            ws.matrix.feature_names,
-            scaler.transform(values[train_idx]),
-            tuple(labels[train_idx]),
-        ).select(selected)
-        test_matrix = FeatureMatrix(
-            ws.matrix.feature_names,
-            scaler.transform(values[test_idx]),
-            tuple(labels[test_idx]),
-        ).select(selected)
+        train_matrix = _scaled_rows(ws.matrix, scaler, train_idx, selected)
+        test_matrix = _scaled_rows(ws.matrix, scaler, test_idx, selected)
 
         for spec in models:
             model = fit(spec, train_matrix)
@@ -395,18 +398,13 @@ def run_cv(dataset: Dataset, cfg: ProtocolConfig, models: list[ModelSpec],
             resamples=cfg.bioquake_resamples,
             seed=cfg.seed,
         )
-    full_scaled = FeatureMatrix(
-        ws.matrix.feature_names,
-        Scaler.fit(ws.matrix.values).transform(ws.matrix.values),
-        ws.matrix.labels,
-    )
-    ranking = tuple(select.mrmr_rank(full_scaled, np.asarray(ws.subjects), cfg.mrmr_config()))
+    _, ranking = _scale_and_rank(ws.matrix, cfg)
     return RunResult(
         reports=reports,
         scores=pooled,
         fold_accuracies={k: tuple(v) for k, v in per_model_acc.items()},
         fit_audits=tuple(audits),
-        feature_ranking=ranking,
+        feature_ranking=tuple(ranking),
         leakage_audit=None,
         config_digest=cfg.digest(),
         dataset_digest=dataset.digest(),
@@ -415,22 +413,29 @@ def run_cv(dataset: Dataset, cfg: ProtocolConfig, models: list[ModelSpec],
 
 
 def leakage_audit(dataset: Dataset, cfg: ProtocolConfig, model: ModelSpec,
-                  ws: WindowSet | None = None) -> LeakageAudit:
-    """Clean pipeline vs global-fit baseline, flagged on the 1 p.p. rule."""
+                  ws: WindowSet | None = None, result: RunResult | None = None
+                  ) -> LeakageAudit:
+    """Clean pipeline vs global-fit baseline, flagged on the 1 p.p. rule.
+
+    Given the ``run_cv`` result of the same ``cfg``, the arm that ``cfg``
+    already ran is read from it and only the other arm is cross-validated;
+    both arms share one set of folds, which do not depend on normalization.
+    """
+    if result is not None and result.config_digest != cfg.digest():
+        raise ValueError("result was computed under a different protocol config")
     if ws is None:
         ws = prepare_windows(dataset, cfg)
-    clean_cfg = replace(cfg, normalization="within_fold_zscore")
-    leaky_cfg = replace(cfg, normalization="global_zscore_leaky")
-    _, clean_acc, _ = _cv_scores(ws, clean_cfg, [model])
-    _, leaky_acc, _ = _cv_scores(ws, leaky_cfg, [model])
-
-    def pooled_accuracy(acc_per_fold, scores_cfg):
-        folds = make_folds(ws, scores_cfg)
-        sizes = np.array([len(test) for _, test in folds], dtype=np.float64)
-        return float(np.sum(np.asarray(acc_per_fold) * sizes) / sizes.sum())
-
-    clean_value = pooled_accuracy(clean_acc[model.name()], clean_cfg)
-    leaky_value = pooled_accuracy(leaky_acc[model.name()], leaky_cfg)
+    sizes = np.array([len(test) for _, test in make_folds(ws, cfg)], dtype=np.float64)
+    pooled = {}
+    for normalization in NORMALIZATIONS:
+        if result is not None and normalization == cfg.normalization:
+            acc = result.fold_accuracies[model.name()]
+        else:
+            _, per_model, _ = _cv_scores(ws, replace(cfg, normalization=normalization), [model])
+            acc = per_model[model.name()]
+        pooled[normalization] = float(np.sum(np.asarray(acc) * sizes) / sizes.sum())
+    clean_value = pooled["within_fold_zscore"]
+    leaky_value = pooled["global_zscore_leaky"]
     delta = leaky_value - clean_value
     return LeakageAudit(
         leaky_accuracy=leaky_value,
@@ -529,24 +534,13 @@ def attack_report(dataset: Dataset, cfg: ProtocolConfig, model: ModelSpec,
     report = genuine_result.reports[model.name()]
     threshold = next(e.threshold for e in report.eer_results if e.class_id == victim)
 
-    scaler = Scaler.fit(genuine_ws.matrix.values)
-    full = FeatureMatrix(
-        genuine_ws.matrix.feature_names,
-        scaler.transform(genuine_ws.matrix.values),
-        genuine_ws.matrix.labels,
-    )
-    ranking = select.mrmr_rank(full, np.asarray(genuine_ws.subjects), cfg.mrmr_config())
+    scaler, ranking = _scale_and_rank(genuine_ws.matrix, cfg)
     selected = tuple(r.name for r in ranking)
-    train = full.select(selected)
+    train = _scaled_rows(genuine_ws.matrix, scaler, selected=selected)
     trained = fit(model, train)
 
     attack_ws = prepare_windows(attack_d, cfg)
-    attack_matrix = FeatureMatrix(
-        attack_ws.matrix.feature_names,
-        scaler.transform(attack_ws.matrix.values),
-        attack_ws.matrix.labels,
-    ).select(selected)
-    scores = trained.predict_proba(attack_matrix)
+    scores = trained.predict_proba(_scaled_rows(attack_ws.matrix, scaler, selected=selected))
     victim_scores = scores.column(victim)
     self_scores = trained.predict_proba(train).column(victim)
     victim_rows = np.array([s == victim for s in genuine_ws.subjects])

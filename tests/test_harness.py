@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -207,17 +209,35 @@ class TestLeakageAudit:
         assert abs(audit.delta) <= 0.01
         assert not audit.flagged
 
+    ADVERSARIAL = ProtocolConfig(
+        window_size=50,
+        selection_k=1,
+        feature_groups=frozenset({"amplitude", "spectral"}),
+        preprocess=PreprocessConfig(calibrate=False, iqr_filter=False, mad_window=None),
+        bioquake_resamples=20,
+    )
+
     def test_adversarial_fixture_flagged(self):
-        cfg = ProtocolConfig(
-            window_size=50,
-            selection_k=1,
-            feature_groups=frozenset({"amplitude", "spectral"}),
-            preprocess=PreprocessConfig(calibrate=False, iqr_filter=False, mad_window=None),
-            bioquake_resamples=20,
-        )
-        audit = leakage_audit(leakage_fixture(), cfg, KNN)
+        audit = leakage_audit(leakage_fixture(), self.ADVERSARIAL, KNN)
         assert audit.delta > 0.01
         assert audit.flagged
+
+    @pytest.mark.parametrize("normalization", ["within_fold_zscore", "global_zscore_leaky"])
+    def test_reusing_the_main_run_matches_two_passes(self, normalization):
+        # On this fixture the two arms differ, so reading the wrong arm shows.
+        dataset = leakage_fixture()
+        cfg = replace(self.ADVERSARIAL, normalization=normalization)
+        ws = prepare_windows(dataset, cfg)
+        result = run_cv(dataset, cfg, [KNN], ws=ws)
+        reused = leakage_audit(dataset, cfg, KNN, ws=ws, result=result)
+        assert reused == leakage_audit(dataset, cfg, KNN, ws=ws)
+        assert reused.flagged
+
+    def test_result_of_another_config_rejected(self, small_dataset):
+        cfg = ProtocolConfig(window_size=50, **FAST)
+        result = run_cv(small_dataset, cfg, [KNN])
+        with pytest.raises(ValueError):
+            leakage_audit(small_dataset, replace(cfg, seed=1), KNN, result=result)
 
     def test_flag_is_definitional(self, small_dataset):
         cfg = ProtocolConfig(window_size=50, **FAST)

@@ -73,8 +73,8 @@ def test_traced_run_observes_every_layer(tracer_module, tmp_path, capsys):
         uninstall()
     metrics = tracer_module.layer_metrics([tracer.dump()])
     assert metrics["harness.windows"] == 2 * 6 * 2  # two commands, 6 records x 2 windows
-    assert metrics["harness.folds"] == 3 * 2  # run_cv plus both audit passes
-    assert metrics["classify.fits"] == 2 * 2 + 2 * 2  # 2 folds x (2 models + 2 audit passes)
+    assert metrics["harness.folds"] == 2 * 2  # run_cv plus the audit's leaky pass
+    assert metrics["classify.fits"] == 2 * 2 + 2  # 2 folds x (2 models + 1 audit pass)
     assert metrics["report.bytes_written"] > 0
     assert metrics["select.mrmr_calls"] > 0
     assert metrics["metrics.eer_calls"] > 0
