@@ -141,13 +141,13 @@ def _cmd_ingest(args) -> int:
 def _load_config(args) -> tuple[harness.ProtocolConfig, dict]:
     """Read --config, apply --window-size / --seed, build the protocol.
 
-    ``features`` also accepts a bare protocol object at the top level;
-    ``evaluate`` reads the protocol only from the ``protocol`` key.
+    The protocol is the ``protocol`` key of the file, or the whole file
+    when that key is absent.
     """
     raw = _load_json(args.config) if args.config else {}
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-    section = raw.get("protocol", raw if args.command == "features" else {})
+    section = raw.get("protocol", raw)
     if not isinstance(section, dict):
         raise ConfigError(f"protocol must be a JSON object, got {type(section).__name__}")
     overrides = {"window_size": args.window_size, "seed": args.seed}

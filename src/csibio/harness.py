@@ -1,4 +1,4 @@
-"""Evaluation protocol: windowing, leakage-free cross-validation, grid search.
+"""Evaluation protocol: windowing, leakage-free cross-validation, leakage audit.
 
 The pipeline per acquisition is calibrate -> IQR subcarrier filter ->
 rolling-MAD repair, then non-overlapping windows, then one feature
@@ -21,9 +21,8 @@ no-test-rows-at-fit-time invariant directly checkable.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -45,6 +44,11 @@ class PreprocessConfig:
     iqr_filter: bool = True
     mad_window: int | None = 9
 
+    def __post_init__(self):
+        w = self.mad_window
+        if w is not None and (w < 3 or w % 2 == 0):
+            raise ValueError(f"mad_window must be null or odd and >= 3, got {w}")
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -59,7 +63,6 @@ class ProtocolConfig:
     hand_filter: str = "right"
     feature_groups: frozenset[str] = frozenset(features.ALL_GROUPS)
     preprocess: PreprocessConfig = PreprocessConfig()
-    grids: dict = field(default_factory=dict)  # model kind -> {param: [values]}
     fcs_bins: int = 50
     bioquake_resamples: int = 200
     seed: int = 0
@@ -78,9 +81,9 @@ class ProtocolConfig:
             raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
         if self.hand_filter not in HAND_FILTERS:
             raise ValueError(f"hand_filter must be one of {HAND_FILTERS}")
-        if self.selection_k < 1:
-            raise ValueError("selection_k must be >= 1")
         object.__setattr__(self, "feature_groups", frozenset(self.feature_groups))
+        self.mrmr_config()  # checks selection_k, mi_bins and binning
+        self.feature_config()  # checks the feature groups
 
     @property
     def stride(self) -> int:
@@ -103,7 +106,7 @@ class ProtocolConfig:
 
 # Coercion of a JSON value, keyed by the field's annotation string (annotations
 # are postponed here); str, optional-int and frozenset fields pass through as-is.
-_COERCE = {"int": int, "bool": bool, "dict": dict}
+_COERCE = {"int": int, "bool": bool}
 
 
 def _from_dict(cls, d: dict):
@@ -443,59 +446,6 @@ def leakage_audit(dataset: Dataset, cfg: ProtocolConfig, model: ModelSpec,
         delta=delta,
         flagged=bool(abs(delta) > 0.01),
     )
-
-
-# --- grid search -------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GridCell:
-    hyperparams: dict
-    mean_accuracy: float
-    eer_mean: float
-    fold_accuracies: tuple[float, ...]
-
-
-def grid_search(dataset: Dataset, cfg: ProtocolConfig, model_kind: str,
-                grid: dict[str, list] | None = None, ws: WindowSet | None = None
-                ) -> tuple[ModelSpec, list[GridCell]]:
-    """Exhaustive CV over the cartesian product of a hyperparameter grid.
-
-    Defaults to the protocol's configured grid for the model kind. Best
-    cell by mean CV accuracy; ties break toward lower mean per-class
-    EER, then lexicographic hyperparameter order.
-    """
-    if grid is None:
-        grid = cfg.grids.get(model_kind)
-    if not grid:
-        raise ValueError(f"no hyperparameter grid for {model_kind!r}")
-    if ws is None:
-        ws = prepare_windows(dataset, cfg)
-    names = sorted(grid)
-    table: list[GridCell] = []
-    for combo in itertools.product(*(grid[n] for n in names)):
-        hp = dict(zip(names, combo))
-        spec = ModelSpec(model_kind, hp, seed=cfg.seed)
-        scores, accs, _ = _cv_scores(ws, cfg, [spec])
-        pooled = ScoreMatrix.concatenate(scores[spec.name()])
-        eers = [metrics.eer_per_class(pooled, c).eer for c in pooled.class_ids]
-        table.append(
-            GridCell(
-                hyperparams=hp,
-                mean_accuracy=float(np.mean(accs[spec.name()])),
-                eer_mean=float(np.mean(eers)),
-                fold_accuracies=tuple(accs[spec.name()]),
-            )
-        )
-    order = sorted(
-        range(len(table)),
-        key=lambda i: (
-            -table[i].mean_accuracy,
-            table[i].eer_mean,
-            json.dumps(table[i].hyperparams, sort_keys=True),
-        ),
-    )
-    best = table[order[0]]
-    return ModelSpec(model_kind, best.hyperparams, seed=cfg.seed), table
 
 
 # --- attack evaluation ---------------------------------------------------------------

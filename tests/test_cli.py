@@ -287,6 +287,31 @@ class TestConfigErrors:
         assert err["error"] == "ConfigError"
         assert "JSON object" in err["detail"]
 
+    @pytest.mark.parametrize("command", ["features", "evaluate"])
+    @pytest.mark.parametrize("protocol,needle", [
+        ({"mi_bins": 1}, "bins"),
+        ({"binning": "quantum"}, "binning"),
+        ({"feature_groups": ["amplitude", "nope"]}, "unknown feature groups"),
+        ({"preprocess": {"mad_window": 8}}, "mad_window"),
+        ({"preprocess": {"mad_window": 1}}, "mad_window"),
+    ])
+    def test_bad_protocol_value_exits_2(self, tmp_path, capsys, command, protocol, needle):
+        cfg = _protocol_file(tmp_path, protocol=protocol)
+        argv = [command, str(tmp_path / "missing"), "--config", str(cfg),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = _one_json_error_line(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert needle in err["detail"]
+
+    def test_bare_protocol_read_by_evaluate(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"window_size": 64, "models": [{"kind": "knn"}]}))
+        assert main(["evaluate", "--config", str(cfg), "--print-config"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["protocol"]["window_size"] == 64
+        assert [m["kind"] for m in printed["models"]] == ["knn"]
+
     def test_non_object_protocol_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"protocol": [1]}))

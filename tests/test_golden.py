@@ -45,43 +45,42 @@ RICH_PROTOCOL = {
     "preprocess": {
         "calibrate": False, "cfo_scope": "global", "iqr_filter": False, "mad_window": None,
     },
-    "grids": {"knn": {"k": [1, 3]}},
     "fcs_bins": 20,
     "bioquake_resamples": 30,
     "seed": 9,
 }
 
 DATASET_DIGEST = "9b645cb9100197c9ed0baf4738757d229057299b21680e80cde1707920bc80bb"
-CONFIG_DIGEST = "93ae6ae10c999d1c9d437dff207f0dba0cee2e9d5a07640ab28ad9bf1b177da6"
-RESULT_DIGEST = "f9d5ed14e0d0571a70c33f7b67526905da403a076541f99df730e9e0a6feec26"
+CONFIG_DIGEST = "95da47d662f035baddbe3ebf959739b32e0d2b24523bc402c562320332b94107"
+RESULT_DIGEST = "9a67213e9cbfde53baacca7c8a0ddbe89d76bd3f67d44d156a01b2a99d3c877f"
 PRINT_CONFIG_SHA = {
-    "features": "6198ca2449a3b42985089b14a81858aebd8aea1ff124dcd060732e5ae32a526c",
-    "evaluate": "97b523ff8e460b50dda45188f10e5b120a2a93840d26852ad6a6358b4b149065",
+    "features": "216b03a5c9062e8eca08a4be8925815a6cf27e874a17bed9815bcadab81deb8b",
+    "evaluate": "f1eb64df6b2eb9bd38f9e6e7755bc80807812189aa50fd66a63b5a8e37fde984",
 }
 # (command, config file contents, extra arguments) -> --print-config sha256
 RICH_PRINT_CONFIG = [
     ("features", RICH_PROTOCOL, [],
-     "e5bb9c03a3084d2c3a12e8a4744f274f094953e7f714f2e897f27c5f90f03334"),
+     "61fc2a8dbba0c2f7321c648b30e9f803417f9a25ed2ac0dfcc5ade7fcc024c5d"),
     ("features", {"protocol": RICH_PROTOCOL}, ["--window-size", "32", "--seed", "5"],
-     "e78c9160d09391cc9adaa6bf21435b3052a9834a168630534e0d749e60e10129"),
+     "db75f8197b65c7ef707c0288e4cf7a140d18f9e2ce4600b14a044414a56ebbb3"),
     ("evaluate", {"protocol": RICH_PROTOCOL, "models": MODELS, "audit": False}, [],
-     "d5a3ddf4f35337e0bbc4a7cdd2b7f3feedea187c9788b911bb5336885c50c2a7"),
+     "9fe165dcfc0de7d67a4224865fc3df195cca3b7fbc398ef153a1aa598d847fb9"),
     ("evaluate", {"protocol": RICH_PROTOCOL}, ["--window-size", "32", "--seed", "5"],
-     "556d449e4fae8b7a76d4474bef98c8a23ec30f383c0aec1d588f19d2feb14eb6"),
+     "0fed6603b12e9e195f954b64b1010a0319a26a851c033a6dc431346cfa7a7d68"),
     ("evaluate", RICH_PROTOCOL, [],
-     "ed8032e2a14a61275772c68be3cf0aeac9c9ed08879e218348f3e73393ab2e64"),
+     "bb33db82e91c9b15a94602c705112e5dfb606d71b2d00910154863b04edc4b53"),
 ]
 REPORT_SHA = {
-    "metrics_summary.csv": "71a21a83994e0bac201f9b2b7f53b44f881ccf96aa568c6503019579181b6489",
-    "gini.csv": "6ecad36c29fb218e8064d01e0e100b760e47751cf3ebb50bd3b4bbae352f26cf",
-    "bioquake.csv": "561bee4999403acf2c58d013d3081c856efff94e7202677e050e4ed9d061b1ae",
-    "eer_per_class.csv": "d61fa2257676ed878f6f8dd484c0fe8c7bc0a989b5e796dea16d9fb9c6567ff2",
-    "fcs_histogram.csv": "6d183d47c9894bc7b4f9730077547e5909e742a2f2100909f914b7e0a2f01033",
-    "feature_ranking.csv": "0be79379742e819d95c1e9e2f1ed9014238c5cf47d2f51162f1b052f63d772d6",
+    "metrics_summary.csv": "f18f5c42ced23cd26fb9f68e7f093b44b177679d98b92f183a3a58b7364b1e71",
+    "gini.csv": "5d611ba87bd97e65865d49810397ee41c9bad9f6dbfc6075e5b3b00531c9b11d",
+    "bioquake.csv": "b8b836e15c030675d6b91b3f99f499596bd21447b2a92d7b96f0e23b604cc703",
+    "eer_per_class.csv": "b958c4d2811ea0a951359223cbfcefa3478335955c94d964288b81ec0fd86a55",
+    "fcs_histogram.csv": "e999deffa6deb3f6b6b9ed07b96f7f2ebcf30d8c6f820b7b1a155e4f1cefa672",
+    "feature_ranking.csv": "5a6d4274d2a9d4cb6a0f862254fbcfe5898907bf5b07ad674fe6dbe1162ec4af",
 }
 # run_result.json without its generated_at line
-RUN_RESULT_SHA = "5de2bbb8606736577cb24e62cece4ee34abe0639f7a7c85030af7decc3a8e345"
-FEATURES_CSV_SHA = "858c28794206eacaa1cb6c73804d92fd2913a1b5942a2edff79c79236b842617"
+RUN_RESULT_SHA = "bc50f72f23e9a2a949a415e6705a177bdd41fadb1bd7f54c2233f39c6c7bf7f4"
+FEATURES_CSV_SHA = "7f36925f38f4f42361a5a95ac6c9557e36360f2a7c38e55494265453bd3923b2"
 MODEL_SHA = {
     "knn": "530258ab7b377d93442c0c8968ecd18463fb66a1557531d8a25e037a1cf6fba4",
     "gaussian_nb": "5e7b358b3a951cc7d53613e00100e3595900df30eb1e64109eeebf65c0759616",

@@ -9,7 +9,6 @@ from csibio.harness import (
     PreprocessConfig,
     ProtocolConfig,
     attack_report,
-    grid_search,
     leakage_audit,
     make_folds,
     prepare_windows,
@@ -248,38 +247,6 @@ class TestLeakageAudit:
         )
 
 
-class TestGridSearch:
-    def test_singleton_grid(self, small_dataset):
-        cfg = ProtocolConfig(window_size=50, **FAST)
-        best, table = grid_search(small_dataset, cfg, "knn", {"k": [3]})
-        assert best.hyperparams["k"] == 3
-        assert len(table) == 1
-
-    def test_k1_beats_k51_on_separable_data(self, small_dataset):
-        cfg = ProtocolConfig(window_size=50, **FAST)
-        best, table = grid_search(small_dataset, cfg, "knn", {"k": [1, 51]})
-        assert best.hyperparams["k"] == 1
-        assert len(table) == 2
-
-    def test_tie_break_deterministic(self, small_dataset):
-        cfg = ProtocolConfig(window_size=50, **FAST)
-        best1, _ = grid_search(small_dataset, cfg, "knn", {"k": [1, 2]})
-        best2, _ = grid_search(small_dataset, cfg, "knn", {"k": [2, 1]})
-        assert best1.hyperparams == best2.hyperparams
-
-    def test_empty_grid_rejected(self, small_dataset):
-        cfg = ProtocolConfig(window_size=50, **FAST)
-        with pytest.raises(ValueError):
-            grid_search(small_dataset, cfg, "knn", {})
-
-    def test_grid_from_protocol_config(self, small_dataset):
-        cfg = ProtocolConfig(window_size=50, grids={"knn": {"k": [1, 7]}}, **FAST)
-        best, table = grid_search(small_dataset, cfg, "knn")
-        assert len(table) == 2
-        assert best.hyperparams["k"] in (1, 7)
-        assert protocol_from_dict(cfg.to_dict()).grids == cfg.grids
-
-
 class TestAttack:
     def test_zero_noise_replay_far_is_total(self):
         scenario = bundled_scenario(
@@ -305,3 +272,23 @@ class TestAttack:
         again = protocol_from_dict(cfg.to_dict())
         assert again == cfg
         assert again.digest() == cfg.digest()
+
+    def test_protocol_ignores_unknown_keys(self):
+        # Configs written before the grid search was removed still load.
+        old = {**ProtocolConfig().to_dict(), "grids": {"knn": {"k": [1, 3]}}}
+        assert protocol_from_dict(old) == ProtocolConfig()
+
+    @pytest.mark.parametrize("bad", [
+        dict(mi_bins=1),
+        dict(binning="quantum"),
+        dict(selection_k=0),
+        dict(feature_groups=frozenset({"amplitude", "nope"})),
+    ])
+    def test_bad_protocol_values_rejected_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            ProtocolConfig(**bad)
+
+    @pytest.mark.parametrize("window", [0, 1, 8])
+    def test_bad_mad_window_rejected_at_construction(self, window):
+        with pytest.raises(ValueError):
+            PreprocessConfig(mad_window=window)
