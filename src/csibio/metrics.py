@@ -133,8 +133,10 @@ def eer_from_scores(genuine: np.ndarray, impostor: np.ndarray,
     common value and the returned threshold is the midpoint of the
     (possibly merged) flat region. Otherwise the crossing falls on a
     jump and the EER is the linear interpolation between the bracketing
-    intervals; the discrete threshold at the jump is returned with
-    ``interpolated=True``.
+    intervals and ``interpolated=True``. The returned threshold is that of
+    whichever of the two bracketing intervals has the smaller discrete
+    max(FAR, FRR), the upper (lower-FAR) one on a tie; above the largest
+    score it is the next float after that score.
 
     The crossing lies in [0, 0.5] whenever genuine scores stochastically
     dominate impostor scores; a value above 0.5 is reported as-is and
@@ -174,7 +176,9 @@ def eer_from_scores(genuine: np.ndarray, impostor: np.ndarray,
     j = int(np.flatnonzero(diff > 0)[-1])
     lam = diff[j] / (diff[j] - diff[j + 1])
     eer = far[j] + lam * (far[j + 1] - far[j])
-    threshold = float(cuts[j])
+    if max(far[j + 1], frr[j + 1]) <= max(far[j], frr[j]):
+        j += 1
+    threshold = float(cuts[j]) if j < cuts.size else float(np.nextafter(cuts[-1], np.inf))
     f, r = far_frr_at(genuine, impostor, threshold)
     return EerResult(class_id, float(eer), threshold, f, r, interpolated=True)
 

@@ -227,6 +227,24 @@ def eer_sweep(genuine, impostor) -> float:
     raise AssertionError("no crossing found")
 
 
+def eer_operating_point(genuine, impostor):
+    """(FAR, FRR) at the EER threshold of an interpolated crossing, else None.
+
+    Of the two intervals around the jump, the one with the smaller
+    max(FAR, FRR) is the operating point; a tie goes to the upper one,
+    whose FAR is lower.
+    """
+    cuts = sorted(set(list(genuine) + list(impostor)))
+    points = [far_frr(genuine, impostor, t) for t in cuts]
+    points.append((0.0, 1.0))  # any threshold above the max score
+    if any(far == frr for far, frr in points):
+        return None
+    for lower, upper in zip(points, points[1:]):
+        if lower[0] > lower[1] and upper[0] < upper[1]:
+            return upper if max(upper) <= max(lower) else lower
+    raise AssertionError("no crossing found")
+
+
 def gini_pairwise(xs) -> float:
     total = sum(xs)
     if total == 0:

@@ -16,7 +16,14 @@ from csibio.metrics import (
     roc_auc_ovr,
 )
 from csibio.model import ScoreMatrix
-from oracles import auc_pair_count, bootstrap_eer_spread, eer_sweep, gini_pairwise
+from oracles import (
+    auc_pair_count,
+    bootstrap_eer_spread,
+    eer_operating_point,
+    eer_sweep,
+    far_frr,
+    gini_pairwise,
+)
 
 
 def _scores(rows, true_labels, class_ids=("a", "b", "c")):
@@ -128,6 +135,52 @@ class TestEer:
             )
             if dominated:
                 assert got.eer <= 0.5 + 1e-12
+
+    def test_interpolated_threshold_vs_oracle(self, rng):
+        seen = 0
+        for _ in range(200):
+            g = np.round(rng.uniform(0, 1, rng.integers(3, 25)), 1)
+            i = np.round(rng.uniform(0, 1, rng.integers(3, 25)), 1)
+            got = eer_from_scores(g, i)
+            expected = eer_operating_point(list(g), list(i))
+            assert got.interpolated == (expected is not None)
+            if expected is None:
+                continue
+            seen += 1
+            assert (got.far_at_threshold, got.frr_at_threshold) == expected
+            assert far_frr(list(g), list(i), got.threshold) == expected
+        assert seen > 20
+
+    def test_interpolated_keeps_lower_side_when_it_is_better(self):
+        # Intervals (0.4, 0.5] with FAR 1/2, FRR 0 and (0.5, 0.6] with
+        # FAR 1/2, FRR 1 bracket the jump; the lower one has the smaller max.
+        r = eer_from_scores(np.array([0.5]), np.array([0.4, 0.6]))
+        assert r.interpolated
+        assert r.threshold == 0.5
+        assert (r.far_at_threshold, r.frr_at_threshold) == (0.5, 0.0)
+
+    def test_interpolated_takes_upper_side_when_it_is_better(self):
+        # Three impostors tie at 0.5: FAR 3/4, FRR 1/4 at 0.5 against
+        # FAR 0, FRR 1/4 at 0.6.
+        r = eer_from_scores(np.array([0.3, 0.6, 0.7, 0.8]), np.array([0.5, 0.5, 0.5, 0.1]))
+        assert r.interpolated
+        assert r.threshold == 0.6
+        assert (r.far_at_threshold, r.frr_at_threshold) == (0.0, 0.25)
+
+    def test_interpolated_tie_takes_lower_far_side(self):
+        # FAR 1/2, FRR 1/4 at 0.5 and FAR 0, FRR 1/2 at 0.9: max 1/2 on both.
+        r = eer_from_scores(np.array([0.3, 0.5, 0.9, 0.9]), np.array([0.1, 0.5]))
+        assert r.interpolated
+        assert r.threshold == 0.9
+        assert (r.far_at_threshold, r.frr_at_threshold) == (0.0, 0.5)
+
+    def test_interpolated_above_the_largest_score(self):
+        # Every impostor sits at the top score: FAR 1, FRR 1/2 there ties
+        # max(FAR, FRR) = 1 with rejecting everything.
+        r = eer_from_scores(np.array([0.5, 0.9]), np.array([0.9, 0.9]))
+        assert r.interpolated
+        assert r.threshold == np.nextafter(0.9, np.inf)
+        assert (r.far_at_threshold, r.frr_at_threshold) == (0.0, 1.0)
 
     def test_monotonicity_adding_good_genuine(self, rng):
         for _ in range(20):
