@@ -429,16 +429,17 @@ def leakage_audit(dataset: Dataset, cfg: ProtocolConfig, model: ModelSpec,
     if ws is None:
         ws = prepare_windows(dataset, cfg)
     sizes = np.array([len(test) for _, test in make_folds(ws, cfg)], dtype=np.float64)
-    pooled = {}
-    for normalization in NORMALIZATIONS:
+
+    def pooled_accuracy(normalization):
         if result is not None and normalization == cfg.normalization:
             acc = result.fold_accuracies[model.name()]
         else:
             _, per_model, _ = _cv_scores(ws, replace(cfg, normalization=normalization), [model])
             acc = per_model[model.name()]
-        pooled[normalization] = float(np.sum(np.asarray(acc) * sizes) / sizes.sum())
-    clean_value = pooled["within_fold_zscore"]
-    leaky_value = pooled["global_zscore_leaky"]
+        return float(np.sum(np.asarray(acc) * sizes) / sizes.sum())
+
+    clean_value = pooled_accuracy("within_fold_zscore")
+    leaky_value = pooled_accuracy("global_zscore_leaky")
     delta = leaky_value - clean_value
     return LeakageAudit(
         leaky_accuracy=leaky_value,
