@@ -277,18 +277,3 @@ class TestAttack:
         # Configs written before the grid search was removed still load.
         old = {**ProtocolConfig().to_dict(), "grids": {"knn": {"k": [1, 3]}}}
         assert protocol_from_dict(old) == ProtocolConfig()
-
-    @pytest.mark.parametrize("bad", [
-        dict(mi_bins=1),
-        dict(binning="quantum"),
-        dict(selection_k=0),
-        dict(feature_groups=frozenset({"amplitude", "nope"})),
-    ])
-    def test_bad_protocol_values_rejected_at_construction(self, bad):
-        with pytest.raises(ValueError):
-            ProtocolConfig(**bad)
-
-    @pytest.mark.parametrize("window", [0, 1, 8])
-    def test_bad_mad_window_rejected_at_construction(self, window):
-        with pytest.raises(ValueError):
-            PreprocessConfig(mad_window=window)
