@@ -70,6 +70,22 @@ RICH_PRINT_CONFIG = [
     ("evaluate", RICH_PROTOCOL, [],
      "bb33db82e91c9b15a94602c705112e5dfb606d71b2d00910154863b04edc4b53"),
 ]
+# A partial scenario: ints in float fields, defaults left out, an attack, hand left.
+SCENARIO = {
+    "subjects": [
+        {"subject_id": "a", "paths": [[1, 0.5, 2e-8]], "noise_sigma": 0.01, "seed": 3},
+        {"subject_id": "b", "paths": [[0.8, 1, 0], [0.3, 2.5, 5e-8]]},
+    ],
+    "n_samples": 100,
+    "freq_step": 625000,
+    "hand": "left",
+    "attack": {"kind": "mimicry", "param": 0.25},
+}
+# (scenario file contents or None for the bundled one, extra arguments) -> sha256
+SYNTH_PRINT_CONFIG = [
+    (None, [], "7e4d4ac6c32f2ba7bbb257dc8e8cd734fdcdbb094d88d963424664cd57e18fef"),
+    (SCENARIO, ["--seed", "7"], "fba0b4788b99f9c965cca5a7bb0f20b20cd435e33dcc4c36221f525246ac63b6"),
+]
 REPORT_SHA = {
     "metrics_summary.csv": "f18f5c42ced23cd26fb9f68e7f093b44b177679d98b92f183a3a58b7364b1e71",
     "gini.csv": "5d611ba87bd97e65865d49810397ee41c9bad9f6dbfc6075e5b3b00531c9b11d",
@@ -137,6 +153,19 @@ def test_rich_print_config_bytes(tmp_path, command, config, extra, expected, cap
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert main([command, "--config", str(path), *extra, "--print-config"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize(
+    "scenario,extra,expected", SYNTH_PRINT_CONFIG, ids=["bundled", "attack-left-hand"]
+)
+def test_synth_print_config_bytes(tmp_path, scenario, extra, expected, capsys):
+    if scenario is not None:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        extra = ["--scenario", str(path), *extra]
+    assert main(["synth", *extra, "--print-config"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
