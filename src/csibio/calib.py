@@ -34,6 +34,9 @@ class CalibReport:
     mean_removed: np.ndarray
 
 
+CFO_SCOPES = ("per_sample", "global")
+
+
 def remove_cfo(m: CsiMatrix, scope: str = "per_sample") -> tuple[CsiMatrix, np.ndarray]:
     """Subtract the median phase bias, rotating each entry on the unit circle.
 

@@ -533,10 +533,7 @@ def save_model(model: TrainedModel, path) -> None:
     header = {
         "format_version": 1,
         "kind": model.spec.kind,
-        "hyperparams": {
-            k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in model.spec.hyperparams.items()
-        },
+        "hyperparams": model.spec.hyperparams,
         "seed": model.spec.seed,
         "class_ids": list(model.class_ids),
         "feature_names": list(model.feature_names),
@@ -566,10 +563,7 @@ def load_model(path) -> TrainedModel:
             dtype = np.dtype(entry["dtype"])
             raw = fh.read(count * dtype.itemsize)
             arrays[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"])
-    hp = {
-        k: (tuple(v) if isinstance(v, list) else v) for k, v in header["hyperparams"].items()
-    }
-    spec = ModelSpec(header["kind"], hp, header["seed"])
+    spec = ModelSpec(header["kind"], header["hyperparams"], header["seed"])
     impl = _IMPLS[spec.kind].from_arrays(arrays, spec.hyperparams, len(header["class_ids"]))
     return TrainedModel(
         spec, tuple(header["class_ids"]), tuple(header["feature_names"]), impl

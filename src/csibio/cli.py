@@ -12,19 +12,21 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__, harness, ingest, report, synth
 from .classify import ModelSpec
 from .errors import ConfigError, CsiBioError, PipelineError
-from .model import Hand, SubjectLabel
+from .model import Dataset, SubjectLabel, from_dict
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 EXIT_LEAKAGE = 3
 
+# Keys a config may hold beside its protocol; only evaluate reads them.
+EVALUATE_KEYS = ("models", "audit", "audit_model")
 DEFAULT_MODELS = [
     {"kind": "random_forest", "hyperparams": {}},
     {"kind": "knn", "hyperparams": {"k": 5}},
@@ -53,9 +55,7 @@ def _cmd_synth(args) -> int:
     else:
         scenario = synth.bundled_scenario()
     if args.seed is not None:
-        scenario = synth.scenario_from_dict(
-            {**synth.scenario_to_dict(scenario), "seed": args.seed}
-        )
+        scenario = replace(scenario, seed=args.seed)
     if args.print_config:
         print(json.dumps(synth.scenario_to_dict(scenario), indent=2, sort_keys=True))
         return EXIT_OK
@@ -76,61 +76,52 @@ def _cmd_synth(args) -> int:
 
 # --- ingest ---------------------------------------------------------------
 
-def _hand(value: str) -> Hand:
-    try:
-        return Hand(value)
-    except ValueError as exc:
-        raise ConfigError(f"hand must be left/right/unspecified, got {value!r}") from exc
+def _ingest_plan(args) -> list[tuple[ingest.PcapSource, SubjectLabel | None]]:
+    """Each input's capture source and label, all checked before any capture is read.
 
-
-def _ingest_entries(args) -> list[dict]:
+    The label is None for a ``.csi`` entry without ``subject_id``: the file's own is kept.
+    """
     if args.manifest:
         entries = _load_json(args.manifest)
         if not isinstance(entries, list):
             raise ConfigError("ingest manifest must be a JSON list of entries")
-        return entries
-    if not args.inputs:
+    elif args.inputs:
+        entries = [
+            {"path": path, "subject_id": args.subject or Path(path).stem, "hand": args.hand,
+             "sample_index": args.sample_index if args.sample_index is not None else i}
+            for i, path in enumerate(args.inputs)
+        ]
+    else:
         raise ConfigError("no input files given")
-    entries = []
-    for i, path in enumerate(args.inputs):
-        entries.append(
-            {
-                "path": path,
-                "subject_id": args.subject or Path(path).stem,
-                "sample_index": (args.sample_index if args.sample_index is not None else i),
-                "hand": args.hand,
-            }
-        )
-    return entries
+    defaults = {"udp_port": args.udp_port, "expected_subcarriers": args.subcarriers}
+    plan = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"ingest entry {i} must be a JSON object, got {entry!r}")
+        try:
+            src = from_dict(ingest.PcapSource, {**defaults, **entry},
+                            ignore=[f.name for f in fields(SubjectLabel)])
+            label = from_dict(SubjectLabel, {"subject_id": Path(src.path).stem, **entry},
+                              ignore=[f.name for f in fields(ingest.PcapSource)])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"ingest entry {i}: {exc}") from exc
+        keep_stored = Path(src.path).suffix == ".csi" and "subject_id" not in entry
+        plan.append((src, None if keep_stored else label))
+    return plan
 
 
 def _cmd_ingest(args) -> int:
-    entries = _ingest_entries(args)
     records = []
-    for entry in entries:
-        path = Path(entry["path"])
+    for src, label in _ingest_plan(args):
+        path = Path(src.path)
         if not path.exists():
             raise FileNotFoundError(f"input file not found: {path}")
-        label = SubjectLabel(
-            entry.get("subject_id", path.stem),
-            int(entry.get("sample_index", 0)),
-            _hand(entry.get("hand", "unspecified")),
-        )
         if path.suffix == ".csi":
             matrix, stored = ingest.read_portable(path)
-            label = stored if "subject_id" not in entry else label
+            label = label or stored
         else:
-            src = ingest.PcapSource(
-                str(path),
-                udp_port=int(entry.get("udp_port", args.udp_port)),
-                expected_subcarriers=int(
-                    entry.get("expected_subcarriers", args.subcarriers)
-                ),
-            )
             matrix = ingest.parse_pcap(src)
         records.append((matrix, label))
-    from .model import Dataset
-
     manifest = ingest.write_dataset_dir(Dataset(tuple(records)), args.out)
     print(json.dumps({"records": len(manifest["records"]), "out": str(args.out)}))
     return EXIT_OK
@@ -142,18 +133,22 @@ def _load_config(args) -> tuple[harness.ProtocolConfig, dict]:
     """Read --config, apply --window-size / --seed, build the protocol.
 
     The protocol is the ``protocol`` key of the file, or the whole file
-    when that key is absent.
+    when that key is absent. Beside it only the evaluate keys may sit.
     """
     raw = _load_json(args.config) if args.config else {}
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-    section = raw.get("protocol", raw)
+    wrapped = "protocol" in raw
+    section = raw["protocol"] if wrapped else raw
+    unknown = sorted(set(raw) - {"protocol", *EVALUATE_KEYS}) if wrapped else []
+    if unknown:
+        raise ConfigError(f"config has unknown keys {unknown} beside 'protocol'")
     if not isinstance(section, dict):
         raise ConfigError(f"protocol must be a JSON object, got {type(section).__name__}")
     overrides = {"window_size": args.window_size, "seed": args.seed}
     section = {**section, **{k: v for k, v in overrides.items() if v is not None}}
     try:
-        return harness.protocol_from_dict(section), raw
+        return harness.protocol_from_dict(section, () if wrapped else EVALUATE_KEYS), raw
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {args.command} config: {exc}") from exc
 
@@ -190,12 +185,14 @@ def _cmd_features(args) -> int:
 def _evaluate_config(args) -> tuple[harness.ProtocolConfig, list[ModelSpec], dict]:
     """The shared config plus the model list, checked before any data is read."""
     protocol, raw = _load_config(args)
+    if not isinstance(raw.get("audit", True), bool):
+        raise ConfigError(f"audit must be true or false, got {raw['audit']!r}")
+    entries = raw.get("models", DEFAULT_MODELS)
     try:
-        models = [
-            ModelSpec(m["kind"], m.get("hyperparams", {}), seed=protocol.seed)
-            for m in raw.get("models", DEFAULT_MODELS)
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+        models = [replace(from_dict(ModelSpec, m), seed=protocol.seed) for m in entries]
+        if any("seed" in m for m in entries):
+            raise ValueError("a model entry takes the protocol seed; remove its 'seed'")
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad evaluate config: {exc}") from exc
     kinds = [m.kind for m in models]
     if not kinds:
@@ -215,7 +212,7 @@ def _cmd_evaluate(args) -> int:
                 {
                     "protocol": protocol.to_dict(),
                     "models": [
-                        {"kind": m.kind, "hyperparams": _jsonable(m.hyperparams)}
+                        {"kind": m.kind, "hyperparams": m.hyperparams}
                         for m in models
                     ],
                     "audit": raw.get("audit", True),
@@ -250,10 +247,6 @@ def _cmd_evaluate(args) -> int:
     if result.leakage_audit is not None and result.leakage_audit.flagged:
         return EXIT_LEAKAGE
     return EXIT_OK
-
-
-def _jsonable(hp: dict) -> dict:
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in hp.items()}
 
 
 # --- entry point -----------------------------------------------------------------

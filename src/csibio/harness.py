@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from . import calib, clean, features, metrics, select
 from .classify import ModelSpec, fit
 from .errors import InsufficientData, RecordTooShort
 from .model import CsiMatrix, Dataset, FeatureMatrix, Hand, ScoreMatrix, SubjectLabel
+from .model import from_dict
 from .synth import split_attack
 
 SPLIT_MODES = ("per_acquisition_holdout", "per_window_stratified")
@@ -45,6 +46,8 @@ class PreprocessConfig:
     mad_window: int | None = 9
 
     def __post_init__(self):
+        if self.cfo_scope not in calib.CFO_SCOPES:
+            raise ValueError(f"cfo_scope must be one of {calib.CFO_SCOPES}")
         w = self.mad_window
         if w is not None and (w < 3 or w % 2 == 0):
             raise ValueError(f"mad_window must be null or odd and >= 3, got {w}")
@@ -104,29 +107,10 @@ class ProtocolConfig:
         ).hexdigest()
 
 
-# Coercion of a JSON value, keyed by the field's annotation string (annotations
-# are postponed here); str, optional-int and frozenset fields pass through as-is.
-_COERCE = {"int": int, "bool": bool}
-
-
-def _from_dict(cls, d: dict):
-    """Build a config dataclass from a dict; absent keys keep their defaults."""
-    kwargs = {}
-    for f in fields(cls):
-        if f.name not in d:
-            continue
-        value = d[f.name]
-        if is_dataclass(f.default):
-            value = _from_dict(type(f.default), value)
-        elif f.type in _COERCE:
-            value = _COERCE[f.type](value)
-        kwargs[f.name] = value
-    return cls(**kwargs)
-
-
-def protocol_from_dict(d: dict) -> ProtocolConfig:
-    """Inverse of ``ProtocolConfig.to_dict``; unknown keys are ignored."""
-    return _from_dict(ProtocolConfig, d)
+def protocol_from_dict(d: dict, ignore=()) -> ProtocolConfig:
+    """Inverse of ``ProtocolConfig.to_dict``; a key that is not a field raises,
+    except ``grids`` (read by the retired grid search) and those in ``ignore``."""
+    return from_dict(ProtocolConfig, d, ignore=("grids", *ignore))
 
 
 # --- windowing -----------------------------------------------------------------

@@ -9,14 +9,18 @@ Conventions fixed here and relied on everywhere else:
   strictly increasing and has length K.
 * All types are frozen after construction and safe to share across
   threads.
+
+``from_dict`` is the one JSON codec for every config dataclass.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
-from enum import Enum
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, is_dataclass, replace
+from enum import Enum, EnumMeta
+from numbers import Integral, Real
+from types import UnionType
+from typing import Iterable, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -272,3 +276,44 @@ class ScoreMatrix:
         rows = np.vstack([p.rows for p in parts])
         labels = tuple(l for p in parts for l in p.true_labels)
         return ScoreMatrix(class_ids, rows, labels)
+
+
+# --- config codec -----------------------------------------------------------------
+
+# JSON value checks by field type: a bool is not a number and a float is not an int.
+_SCALARS = {
+    bool: lambda v: isinstance(v, bool),
+    int: lambda v: isinstance(v, Integral) and not isinstance(v, bool),
+    float: lambda v: isinstance(v, Real) and not isinstance(v, bool),
+    str: lambda v: isinstance(v, str),
+}
+
+
+def _coerce(tp, value, where: str):
+    """Check a JSON value against a field type; build numbers, enums and nested dataclasses."""
+    if isinstance(tp, UnionType):  # ``X | None``
+        if value is None:
+            return None
+        tp = get_args(tp)[0]
+    if tp in _SCALARS and not _SCALARS[tp](value):
+        raise TypeError(f"{where} must be a JSON {tp.__name__}, got {value!r}")
+    if isinstance(tp, EnumMeta) and value not in [m.value for m in tp]:
+        raise ValueError(f"{where} must be one of {[m.value for m in tp]}, got {value!r}")
+    if isinstance(tp, EnumMeta) or tp in (int, float):
+        return tp(value)
+    return from_dict(tp, value) if is_dataclass(tp) else value
+
+
+def from_dict(cls, d: dict, ignore=()):
+    """Build config dataclass ``cls`` from a JSON object; absent keys keep their defaults.
+
+    A key that is neither a field nor in ``ignore`` raises; every error names ``cls``.
+    """
+    if not isinstance(d, dict):
+        raise TypeError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
+    hints = get_type_hints(cls)
+    unknown = sorted(set(d) - set(hints) - set(ignore))
+    if unknown:
+        raise ValueError(f"{cls.__name__} has no field(s) {unknown}")
+    where = cls.__name__ + "."
+    return cls(**{k: _coerce(hints[k], v, where + k) for k, v in d.items() if k in hints})

@@ -17,12 +17,12 @@ bit-identical datasets regardless of generation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from enum import Enum
 import numpy as np
 
 from .errors import InvalidSpec
-from .model import CsiMatrix, Dataset, Hand, SubjectLabel
+from .model import CsiMatrix, Dataset, Hand, SubjectLabel, from_dict
 
 ATTACKER_ID = "__attacker__"
 
@@ -323,61 +323,27 @@ def bundled_scenario(
 # --- JSON (de)serialization used by the CLI config loader ------------------
 
 def scenario_to_dict(s: ScenarioSpec) -> dict:
-    return {
-        "seed": s.seed,
-        "samples_per_subject": s.samples_per_subject,
-        "n_samples": s.n_samples,
-        "n_subcarriers": s.n_subcarriers,
-        "freq_start": s.freq_start,
-        "freq_step": s.freq_step,
-        "hand": s.hand.value,
-        "attack": None
-        if s.attack is None
-        else {"kind": s.attack.kind.value, "param": s.attack.param},
-        "subjects": [
-            {
-                "subject_id": sid,
-                "paths": [[p.gain, p.phase, p.delay] for p in chan.paths],
-                "noise_sigma": chan.noise_sigma,
-                "cfo_offset": chan.cfo_offset,
-                "sfo_slope": chan.sfo_slope,
-                "temporal_jitter_sigma": chan.temporal_jitter_sigma,
-                "seed": chan.seed,
-            }
-            for sid, chan in s.subjects
-        ],
-    }
+    """``asdict``, with each subject as ``{"subject_id", **channel}`` and each path a list."""
+    return {**asdict(s), "subjects": [
+        {"subject_id": sid, **asdict(chan), "paths": [astuple(p) for p in chan.paths]}
+        for sid, chan in s.subjects
+    ]}
+
+
+def _path(p) -> PathComponent:
+    if not isinstance(p, (list, tuple)) or len(p) != 3:
+        raise ValueError(f"a path is [gain, phase, delay], got {p!r}")
+    return from_dict(PathComponent, dict(zip(("gain", "phase", "delay"), p)))
 
 
 def scenario_from_dict(d: dict) -> ScenarioSpec:
+    """Inverse of ``scenario_to_dict``; a key that is not a field raises ``InvalidSpec``."""
+    def subject(entry):
+        label = from_dict(SubjectLabel, {"subject_id": entry["subject_id"]})
+        chan = {**entry, "paths": tuple(map(_path, entry["paths"]))}
+        return label.subject_id, from_dict(ChannelSpec, chan, ignore=("subject_id",))
+
     try:
-        subjects = tuple(
-            (
-                entry["subject_id"],
-                ChannelSpec(
-                    paths=tuple(PathComponent(*map(float, p)) for p in entry["paths"]),
-                    noise_sigma=float(entry.get("noise_sigma", 0.0)),
-                    cfo_offset=float(entry.get("cfo_offset", 0.0)),
-                    sfo_slope=float(entry.get("sfo_slope", 0.0)),
-                    temporal_jitter_sigma=float(entry.get("temporal_jitter_sigma", 0.0)),
-                    seed=int(entry.get("seed", 0)),
-                ),
-            )
-            for entry in d["subjects"]
-        )
-        attack = d.get("attack")
-        return ScenarioSpec(
-            subjects=subjects,
-            samples_per_subject=int(d.get("samples_per_subject", 5)),
-            n_samples=int(d.get("n_samples", 500)),
-            n_subcarriers=int(d.get("n_subcarriers", 64)),
-            freq_start=float(d.get("freq_start", 5.16e9)),
-            freq_step=float(d.get("freq_step", 312_500.0)),
-            attack=None
-            if attack is None
-            else AttackSpec(AttackKind(attack["kind"]), float(attack.get("param", 0.0))),
-            hand=Hand(d.get("hand", "right")),
-            seed=int(d.get("seed", 0)),
-        )
+        return from_dict(ScenarioSpec, {**d, "subjects": tuple(map(subject, d["subjects"]))})
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"malformed scenario config: {exc}") from exc

@@ -344,6 +344,97 @@ class TestConfigErrors:
         assert "twice" in err["detail"]
 
 
+    @pytest.mark.parametrize("command,config,needle", [
+        ("features", {"window_sise": 64}, "ProtocolConfig has no field(s) ['window_sise']"),
+        ("evaluate", {"protocol": {"window_sise": 64}}, "window_sise"),
+        ("features", {"window_size": 64.7}, "ProtocolConfig.window_size"),
+        ("features", {"window_size": "64"}, "ProtocolConfig.window_size"),
+        ("evaluate", {"protocol": {"folds": True}}, "ProtocolConfig.folds"),
+        ("features", {"preprocess": {"calibrate": "false"}}, "PreprocessConfig.calibrate"),
+        ("features", {"preprocess": {"cfo_scope": "nope"}}, "cfo_scope"),
+        ("evaluate", {"preprocess": {"mad_widow": 9}}, "PreprocessConfig has no field"),
+        ("features", {"protocol": {}, "modles": []}, "['modles']"),
+        ("evaluate", {"protocol": {}, "audit": "no"}, "audit must be true or false"),
+        ("evaluate", {"protocol": {}, "models": [{"kind": "knn", "hyperparameters": {"k": 1}}]},
+         "ModelSpec has no field(s) ['hyperparameters']"),
+        ("evaluate", {"protocol": {}, "models": [{"kind": "knn", "seed": 3}]}, "seed"),
+        ("evaluate", {"protocol": {}, "models": ["knn"]}, "ModelSpec must be a JSON object"),
+    ], ids=["protocol-key", "wrapped-protocol-key", "float-int", "string-int", "bool-int",
+            "string-bool", "cfo-scope", "preprocess-key", "top-level-key", "audit-string",
+            "model-key", "model-seed", "model-not-object"])
+    def test_unknown_key_or_wrong_type_exits_2(self, tmp_path, capsys, command, config, needle):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [command, str(tmp_path / "missing"), "--config", str(cfg),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = _one_json_error_line(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert needle in err["detail"]
+
+
+SUBJECTS = [
+    {"subject_id": "a", "paths": [[1.0, 0.0, 0.0]]},
+    {"subject_id": "b", "paths": [[0.5, 1.0, 0.0]]},
+]
+
+
+@pytest.mark.parametrize("scenario,needle", [
+    ({"subjects": SUBJECTS, "colour": 1}, "ScenarioSpec has no field(s) ['colour']"),
+    ({"subjects": SUBJECTS, "n_samples": 100.5}, "ScenarioSpec.n_samples"),
+    ({"subjects": SUBJECTS, "hand": "both"}, "ScenarioSpec.hand"),
+    ({"subjects": [{**SUBJECTS[0], "noise": 0.1}, SUBJECTS[1]]}, "ChannelSpec has no field"),
+    ({"subjects": [{**SUBJECTS[0], "subject_id": 5}, SUBJECTS[1]]}, "subject_id"),
+    ({"subjects": [{**SUBJECTS[0], "subject_id": ""}, SUBJECTS[1]]}, "subject_id"),
+    ({"subjects": [{**SUBJECTS[0], "seed": "1"}, SUBJECTS[1]]}, "ChannelSpec.seed"),
+    ({"subjects": [{**SUBJECTS[0], "paths": [[1.0, 0.0]]}, SUBJECTS[1]]}, "[gain, phase, delay]"),
+    ({"subjects": SUBJECTS, "attack": {"kind": "replay", "strength": 1}}, "AttackSpec has no"),
+    ({"subjects": SUBJECTS, "attack": {"kind": "zap"}}, "AttackSpec.kind"),
+], ids=["top-key", "float-int", "hand", "subject-key", "subject-id-int", "subject-id-empty",
+        "subject-seed", "path-length",
+        "attack-key", "attack-kind"])
+def test_bad_scenario_exits_2_before_writing(tmp_path, capsys, scenario, needle):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "ds"
+    assert main(["synth", "--scenario", str(path), "--out", str(out)]) == 2
+    err = _one_json_error_line(capsys.readouterr().err)
+    assert err["error"] == "InvalidSpec"
+    assert needle in err["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry,needle", [
+    ({"subject_id": "p1"}, "'path'"),
+    ("cap.pcap", "JSON object"),
+    ({"path": "x.pcap", "hand": "both"}, "SubjectLabel.hand"),
+    ({"path": "x.pcap", "sample_index": 1.5}, "SubjectLabel.sample_index"),
+    ({"path": "x.pcap", "sample_index": -1}, "sample_index"),
+    ({"path": "x.pcap", "udp_port": 0}, "udp_port"),
+    ({"path": "x.pcap", "udp_port": "5500"}, "PcapSource.udp_port"),
+    ({"path": "x.pcap", "subject": "p1"}, "['subject']"),
+], ids=["no-path", "not-object", "hand", "float-index", "negative-index", "port-range",
+        "string-port", "unknown-key"])
+def test_bad_manifest_entry_exits_2_before_reading(tmp_path, capsys, entry, needle):
+    corrupt = tmp_path / "corrupt.pcap"
+    corrupt.write_bytes(b"garbage")  # exits 1 once parsed
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"path": str(corrupt), "subject_id": "p0"}, entry]))
+    out = tmp_path / "ds"
+    assert main(["ingest", "--manifest", str(manifest), "--out", str(out)]) == 2
+    err = _one_json_error_line(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert needle in err["detail"]
+    assert not out.exists()
+
+
+def test_manifest_missing_input_exits_1(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"path": str(tmp_path / "absent.pcap")}]))
+    assert main(["ingest", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 1
+    assert _one_json_error_line(capsys.readouterr().err)["error"] == "FileNotFoundError"
+
+
 class TestUsage:
     def test_missing_out_flag(self):
         assert main(["synth"]) == 2

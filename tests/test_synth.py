@@ -1,8 +1,12 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from csibio import features
 from csibio.errors import InvalidSpec
+from csibio.model import Hand
 from csibio.synth import (
     ATTACKER_ID,
     AttackKind,
@@ -167,6 +171,11 @@ class TestScenarioSerialization:
                              n_samples=50, n_subcarriers=16)
         again = scenario_from_dict(scenario_to_dict(s))
         assert generate_dataset(again).digest() == generate_dataset(s).digest()
+
+    @pytest.mark.parametrize("attack", [None, AttackSpec(AttackKind.DRIFT, 0.002)])
+    def test_json_round_trip_is_exact(self, attack):
+        s = replace(bundled_scenario(n_subjects=3, attack=attack), hand=Hand.LEFT)
+        assert scenario_from_dict(json.loads(json.dumps(scenario_to_dict(s)))) == s
 
     def test_malformed_config_rejected(self):
         with pytest.raises(InvalidSpec):
