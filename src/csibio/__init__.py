@@ -13,7 +13,6 @@ from .model import (  # noqa: F401
     CsiMatrix,
     Dataset,
     FeatureMatrix,
-    FeatureVector,
     Hand,
     ScoreMatrix,
     SubjectLabel,

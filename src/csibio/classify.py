@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateFeature, SchemaMismatch, SingleClass
-from .model import FeatureMatrix, ScoreMatrix
+from .model import JSON_TYPES, FeatureMatrix, ScoreMatrix
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -41,11 +41,20 @@ class ModelSpec:
         if unknown:
             raise ValueError(f"unknown {self.kind} hyperparams: {sorted(unknown)}")
         merged.update(self.hyperparams)
+        for name, default in impl.defaults.items():
+            expected = type(default)  # a str default names one of several choices: check() owns it
+            if expected in (bool, int, float) and not JSON_TYPES[expected](merged[name]):
+                raise TypeError(f"{self.kind} hyperparam {name!r} must be a JSON "
+                                f"{expected.__name__}, got {merged[name]!r}")
         impl.check(merged)
         object.__setattr__(self, "hyperparams", merged)
 
     def name(self) -> str:
         return self.kind
+
+
+def _positive_int(v) -> bool:
+    return JSON_TYPES[int](v) and v >= 1
 
 
 def _validate_training(x: np.ndarray, codes: np.ndarray, n_classes: int):
@@ -171,8 +180,8 @@ class _Tree:
 
     @staticmethod
     def check(hp):
-        if hp["max_depth"] is not None and hp["max_depth"] < 1:
-            raise ValueError("max_depth must be >= 1 or None for unlimited")
+        if hp["max_depth"] is not None and not _positive_int(hp["max_depth"]):
+            raise ValueError("max_depth must be an integer >= 1 or None for unlimited")
 
     @staticmethod
     def fit(x, codes, n_classes, hp, seed, max_features=None, rng=None):
@@ -322,6 +331,8 @@ class _Forest:
         _Tree.check(hp)
         if hp["n_trees"] < 1:
             raise ValueError("random_forest requires n_trees >= 1")
+        if hp["max_features"] not in ("sqrt", None) and not _positive_int(hp["max_features"]):
+            raise ValueError("random_forest max_features must be 'sqrt', None or an integer >= 1")
 
     @staticmethod
     def fit(x, codes, n_classes, hp, seed):
@@ -423,9 +434,11 @@ class _Mlp:
 
     @staticmethod
     def check(hp):
-        hp["hidden_layers"] = tuple(int(h) for h in hp["hidden_layers"])
-        if len(hp["hidden_layers"]) < 1 or any(h < 1 for h in hp["hidden_layers"]):
-            raise ValueError("mlp requires >= 1 hidden layer with sizes >= 1")
+        layers = hp["hidden_layers"]
+        if not isinstance(layers, (list, tuple)) or not layers \
+                or not all(_positive_int(h) for h in layers):
+            raise ValueError("mlp requires >= 1 hidden layer with integer sizes >= 1")
+        hp["hidden_layers"] = tuple(int(h) for h in layers)
 
     @staticmethod
     def fit(x, codes, n_classes, hp, seed):

@@ -39,7 +39,7 @@ def iqr_subcarrier_filter(m: CsiMatrix) -> tuple[CsiMatrix, list[int]]:
         raise TooFewSubcarriersRemain(
             f"IQR filter needs K >= 4 for meaningful quartiles, got K={m.n_subcarriers}"
         )
-    energies = subcarrier_energy(m)
+    energies = subcarrier_energy(m.amplitude())
     lo, hi = iqr_fences(energies)
     keep = (energies >= lo) & (energies <= hi)
     removed = [int(i) for i in np.flatnonzero(~keep)]
@@ -62,20 +62,25 @@ class MadRepairReport:
 
 
 def _rolling_median_mad(x: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Centered rolling median and raw MAD.
+    """Centered rolling median and raw MAD of each row of ``x``, over the last axis.
 
-    Edge positions reuse the nearest full-width window (a shrunken
-    window would lose rejection power: with two samples |x - median|
-    always equals the MAD).
+    The window is odd, so each median is the middle entry of one sort
+    over all rows at once. Edge positions reuse the nearest full-width
+    window (a shrunken window would lose rejection power: with two
+    samples |x - median| always equals the MAD).
     """
-    n = x.shape[0]
+    n = x.shape[-1]
     half = window // 2
-    view = np.lib.stride_tricks.sliding_window_view(x, window)
-    win_med = np.median(view, axis=1)
-    win_mad = np.median(np.abs(view - win_med[:, None]), axis=1)
+    view = np.lib.stride_tricks.sliding_window_view(x, window, axis=-1)
+    # Each sort copies every window; keep one such copy alive at a time.
+    win_med = np.sort(view, axis=-1)[..., half].copy()
+    dev = view - win_med[..., None]
+    np.abs(dev, out=dev)
+    dev.sort(axis=-1)
+    win_mad = dev[..., half]
     # Position t uses the window starting at clamp(t - half, 0, n - window).
     starts = np.clip(np.arange(n) - half, 0, n - window)
-    return win_med[starts], win_mad[starts]
+    return win_med[..., starts], win_mad[..., starts]
 
 
 def _interpolate_flagged(x: np.ndarray, flagged: np.ndarray) -> np.ndarray:
@@ -104,31 +109,23 @@ def mad_temporal_repair(m: CsiMatrix, window: int = 9) -> tuple[CsiMatrix, MadRe
         raise WindowTooLarge(f"window {window} exceeds T={m.n_samples}")
 
     amps = m.amplitude()
+    med, mad = _rolling_median_mad(amps, window)
+    flags = np.abs(amps - med) > MAD_FACTOR * mad
+    untouched = np.flatnonzero(flags.all(axis=1))
+    flags[untouched] = False
     values = np.array(m.values)
-    flags = np.zeros(amps.shape, dtype=bool)
-    untouched: list[int] = []
-
-    for k in range(m.n_subcarriers):
+    for k in np.flatnonzero(flags.any(axis=1)):
         x = amps[k]
-        med, mad = _rolling_median_mad(x, window)
-        flagged = np.abs(x - med) > MAD_FACTOR * mad
-        if not flagged.any():
-            continue
-        if flagged.all():
-            untouched.append(k)
-            continue
-        repaired = _interpolate_flagged(x, flagged)
-        idx = np.flatnonzero(flagged)
+        repaired = _interpolate_flagged(x, flags[k])
+        idx = np.flatnonzero(flags[k])
         old = x[idx]
         scale = np.where(old > 0, repaired[idx] / np.where(old > 0, old, 1.0), 0.0)
-        new_vals = np.where(old > 0, values[k, idx] * scale, repaired[idx] + 0j)
-        values[k, idx] = new_vals
-        flags[k, idx] = True
+        values[k, idx] = np.where(old > 0, values[k, idx] * scale, repaired[idx] + 0j)
 
     report = MadRepairReport(
         repaired_count=int(flags.sum()),
         flags=flags,
-        untouched_subcarriers=tuple(untouched),
+        untouched_subcarriers=tuple(int(k) for k in untouched),
     )
     return m.with_values(values), report
 

@@ -36,6 +36,10 @@ class LengthMismatch(PipelineError):
     """Portable CSI payload shorter/longer than the header promises."""
 
 
+class ManifestMismatch(PipelineError):
+    """A dataset manifest entry disagrees with its file's header."""
+
+
 # --- synth ----------------------------------------------------------------
 
 class InvalidSpec(ConfigError):

@@ -1,6 +1,7 @@
-"""Handcrafted CSI descriptors computed over one cleaned, calibrated window.
+"""Handcrafted CSI descriptors computed over a batch of cleaned, calibrated windows.
 
-Ten groups of scalar features over a K x T complex window: amplitude
+Ten groups of scalar features per K x W complex window, each computed
+for all N windows of a ``[N, K, W]`` batch at once: amplitude
 statistics, phase texture, per-subcarrier energy distribution, spectral
 shape of the time-averaged magnitude, an empirical reflected/absorbed/
 refracted energy split, temporal variability, stability (coefficient of
@@ -14,17 +15,18 @@ Normalization conventions (fixed, tested against naive references):
 * skewness/kurtosis use population moments; kurtosis is excess (-3);
 * any skew/kurt with a near-zero sigma contributes 0 and raises a flag;
 * entropies are in bits with 0*log(0) := 0;
+* spectral-shape features operate on the time-averaged magnitude;
 * spectral-shape indices are 1-based (k = 1..K).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FeatureGroupError, ZeroEnergyWindow, ZeroSpectrum
-from .model import CsiMatrix, FeatureVector
 
 EPSILON = 1e-12  # default degenerate-denominator floor
 
@@ -34,19 +36,31 @@ def _require(cond: bool, msg: str):
         raise ValueError(msg)
 
 
-def _sample_var(x: np.ndarray, axis: int = 1) -> np.ndarray:
-    """Sample variance with an exact-zero fast path for constant series.
+def _sample_var(x: np.ndarray) -> np.ndarray:
+    """Sample variance over the last axis, with an exact-zero fast path for constant series.
 
     Plain ``np.var`` of a bitwise-constant series leaves ~1e-17 residue
     from mean rounding; static channels must yield exact zeros.
     """
-    var = np.var(x, axis=axis, ddof=1)
-    constant = np.all(x == np.take(x, [0], axis=axis), axis=axis)
-    return np.where(constant, 0.0, var)
+    var = np.var(x, axis=-1, ddof=1)
+    return np.where(np.all(x == x[..., :1], axis=-1), 0.0, var)
 
 
-def _sample_std(x: np.ndarray, axis: int = 1) -> np.ndarray:
-    return np.sqrt(_sample_var(x, axis=axis))
+def _sample_std(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(_sample_var(x))
+
+
+def _mean_spread(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over the last axis and the n-1 normalized spread of ``x`` about it."""
+    mean = x.mean(axis=-1)
+    return mean, np.sqrt(np.sum((x - mean[..., None]) ** 2, axis=-1) / (x.shape[-1] - 1))
+
+
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of ``p``, with 0*log(0) := 0. Zero bins are
+    dropped row by row: masking them would sum the other terms in another order."""
+    nonzero = [row[row > 0] for row in p]
+    return np.array([-np.sum(q * np.log2(q)) for q in nonzero])
 
 
 def _pop_skew_kurt(
@@ -68,110 +82,122 @@ def _pop_skew_kurt(
     return skew, kurt, degenerate
 
 
-def amplitude_features(m: CsiMatrix, epsilon: float = EPSILON):
+def subcarrier_energy(amps: np.ndarray) -> np.ndarray:
+    """E(f_k): mean over time (the last axis) of the squared magnitude ``amps``."""
+    return np.mean(amps**2, axis=-1)
+
+
+class WindowBatch(NamedTuple):
+    """N windows with |H|, its angle and their time averages, each computed once."""
+
+    amps: np.ndarray  # |H|, [N, K, W]
+    phases: np.ndarray  # angle of H, [N, K, W]
+    energies: np.ndarray  # E(f_k), [N, K]
+    spectrum: np.ndarray  # time-averaged magnitude, [N, K]
+    freqs: np.ndarray  # subcarrier centre frequencies in Hz, [K]
+
+    @property
+    def n_subcarriers(self) -> int:
+        return self.amps.shape[-2]
+
+    @property
+    def n_samples(self) -> int:
+        return self.amps.shape[-1]
+
+
+def window_batch(values: np.ndarray, freqs: np.ndarray) -> WindowBatch:
+    """Batch the complex windows ``values[N, K, W]`` on the subcarrier axis ``freqs[K]``.
+
+    The batch is made C-contiguous: a last-axis reduction over a strided
+    view sums in another order, so the features would differ in their last bits.
+    """
+    values = np.ascontiguousarray(values, dtype=np.complex128)
+    freqs = np.asarray(freqs, dtype=np.float64)
+    if values.ndim != 3 or freqs.shape != values.shape[1:2]:
+        raise ValueError(
+            f"values must be [N, K, W] with K == len(freqs), got {values.shape} and {freqs.shape}"
+        )
+    amps = np.abs(values)
+    return WindowBatch(amps, np.angle(values), subcarrier_energy(amps), amps.mean(axis=-1), freqs)
+
+
+# Each group maps a WindowBatch to (feature name -> float[N], flag name -> bool[N]).
+
+def amplitude_features(b: WindowBatch, epsilon: float = EPSILON):
     """Moments of |H|: grand mean, cross-subcarrier spread, skew, kurtosis."""
-    _require(m.n_subcarriers >= 2 and m.n_samples >= 2, "need K >= 2 and T >= 2")
-    amps = m.amplitude()
-    per_k_mean = amps.mean(axis=1)
-    per_k_var = _sample_var(amps)
-    amp_mean = per_k_mean.mean()
-    amp_var_mean = per_k_var.mean()
-    skew, kurt, degenerate = _pop_skew_kurt(amps, epsilon)
-    flags = ["amplitude:degenerate_moment"] if degenerate.any() else []
+    _require(b.n_subcarriers >= 2 and b.n_samples >= 2, "need K >= 2 and T >= 2")
+    amp_var_mean, amp_var_std = _mean_spread(_sample_var(b.amps))
+    skew, kurt, degenerate = _pop_skew_kurt(b.amps, epsilon)
     values = {
-        "amp_mean": amp_mean,
-        "amp_mean_std": float(_sample_std(per_k_mean, axis=0)),
+        "amp_mean": b.spectrum.mean(axis=-1),
+        "amp_mean_std": _sample_std(b.spectrum),
         "amp_var_mean": amp_var_mean,
-        "amp_var_std": np.sqrt(np.sum((per_k_var - amp_var_mean) ** 2) / (m.n_subcarriers - 1)),
-        "amp_skew_mean": skew.mean(),
-        "amp_kurt_mean": kurt.mean(),
+        "amp_var_std": amp_var_std,
+        "amp_skew_mean": skew.mean(axis=-1),
+        "amp_kurt_mean": kurt.mean(axis=-1),
     }
-    return values, flags
+    return values, {"amplitude:degenerate_moment": degenerate.any(axis=-1)}
 
 
-def phase_features(m: CsiMatrix, epsilon: float = EPSILON):
+def phase_features(b: WindowBatch, epsilon: float = EPSILON):
     """Phase level and texture: per-subcarrier stds and adjacent-difference stds."""
-    _require(m.n_subcarriers >= 3 and m.n_samples >= 2, "need K >= 3 and T >= 2")
-    phases = m.phase()
-    per_k_std = _sample_std(phases, axis=1)
-    phase_std_mean = per_k_std.mean()
-    dphi = np.diff(phases, axis=0)  # [K-1, T]
-    dphi_std = _sample_std(dphi, axis=1)
-    dphi_std_mean = dphi_std.mean()
-    k1 = m.n_subcarriers - 1
+    _require(b.n_subcarriers >= 3 and b.n_samples >= 2, "need K >= 3 and T >= 2")
+    phase_std_mean, phase_std_std = _mean_spread(_sample_std(b.phases))
+    dphi_std_mean, dphi_std_std = _mean_spread(_sample_std(np.diff(b.phases, axis=-2)))
     values = {
-        "phase_mean_mean": phases.mean(),
+        "phase_mean_mean": b.phases.mean(axis=(-2, -1)),
         "phase_std_mean": phase_std_mean,
-        "phase_std_std": np.sqrt(
-            np.sum((per_k_std - phase_std_mean) ** 2) / (m.n_subcarriers - 1)
-        ),
+        "phase_std_std": phase_std_std,
         "dphi_std_mean": dphi_std_mean,
-        "dphi_std_std": np.sqrt(np.sum((dphi_std - dphi_std_mean) ** 2) / (k1 - 1)),
+        "dphi_std_std": dphi_std_std,
     }
-    return values, []
+    return values, {}
 
 
-def subcarrier_energy(m: CsiMatrix) -> np.ndarray:
-    """E(f_k): time-averaged squared magnitude per subcarrier."""
-    return np.mean(np.abs(m.values) ** 2, axis=1)
-
-
-def energy_features(m: CsiMatrix, epsilon: float = EPSILON):
+def energy_features(b: WindowBatch, epsilon: float = EPSILON):
     """Distribution of E(f_k) over subcarriers: level, shape, entropy in bits."""
-    _require(m.n_subcarriers >= 2, "need K >= 2")
-    energies = subcarrier_energy(m)
-    total = energies.sum()
-    if total <= 0:
-        raise ZeroEnergyWindow("window has zero total energy")
-    skew, kurt, degenerate = _pop_skew_kurt(energies[None, :], epsilon)
-    p = energies / total
-    nz = p > 0
-    entropy = float(-np.sum(p[nz] * np.log2(p[nz])))
-    flags = ["energy:degenerate_moment"] if degenerate.any() else []
+    _require(b.n_subcarriers >= 2, "need K >= 2")
+    total = b.energies.sum(axis=-1)
+    if (total <= 0).any():
+        raise ZeroEnergyWindow(f"window {np.argmax(total <= 0)} has zero total energy")
+    skew, kurt, degenerate = _pop_skew_kurt(b.energies, epsilon)
     values = {
-        "energy_mean": energies.mean(),
-        "energy_skewness": float(skew[0]),
-        "energy_kurtosis": float(kurt[0]),
-        "energy_entropy": entropy,
+        "energy_mean": b.energies.mean(axis=-1),
+        "energy_skewness": skew,
+        "energy_kurtosis": kurt,
+        "energy_entropy": _entropy_bits(b.energies / total[:, None]),
     }
-    return values, flags
+    return values, {"energy:degenerate_moment": degenerate}
 
 
-def mean_magnitude_spectrum(m: CsiMatrix) -> np.ndarray:
-    """Time-averaged magnitude response, one value per subcarrier."""
-    return m.amplitude().mean(axis=1)
-
-
-def spectral_features(m: CsiMatrix, epsilon: float = EPSILON):
+def spectral_features(b: WindowBatch, epsilon: float = EPSILON):
     """Shape of the time-averaged magnitude: centroids, entropy, flatness, width.
 
     spec_centroid weights physical frequencies (Hz); spectral_centroid_amp
     and spectral_width weight the 1-based subcarrier index. Flatness is
     the geometric/arithmetic mean ratio with bins floored at epsilon.
     """
-    _require(m.n_subcarriers >= 2, "need K >= 2")
-    spectrum = mean_magnitude_spectrum(m)
-    total = spectrum.sum()
-    if total <= 0:
-        raise ZeroSpectrum("time-averaged magnitude sums to zero")
-    w = spectrum / total
-    nz = w > 0
-    entropy = float(-np.sum(w[nz] * np.log2(w[nz])))
+    _require(b.n_subcarriers >= 2, "need K >= 2")
+    spectrum = b.spectrum
+    total = spectrum.sum(axis=-1)
+    if (total <= 0).any():
+        raise ZeroSpectrum(f"window {np.argmax(total <= 0)} has a zero mean magnitude spectrum")
     floored = np.maximum(spectrum, epsilon)
-    flatness = float(np.exp(np.mean(np.log(floored))) / floored.mean())
-    k = np.arange(1, m.n_subcarriers + 1, dtype=np.float64)
-    centroid_amp = float(np.sum(k * spectrum) / total)
+    k = np.arange(1, b.n_subcarriers + 1, dtype=np.float64)
+    centroid_amp = np.sum(k * spectrum, axis=-1) / total
     values = {
-        "spec_centroid": float(np.sum(m.freqs * spectrum) / total),
-        "spec_entropy": entropy,
-        "spec_flatness": flatness,
+        "spec_centroid": np.sum(b.freqs * spectrum, axis=-1) / total,
+        "spec_entropy": _entropy_bits(spectrum / total[:, None]),
+        "spec_flatness": np.exp(np.mean(np.log(floored), axis=-1)) / floored.mean(axis=-1),
         "spectral_centroid_amp": centroid_amp,
-        "spectral_width": float(np.sqrt(np.sum((k - centroid_amp) ** 2 * spectrum) / total)),
+        "spectral_width": np.sqrt(
+            np.sum((k - centroid_amp[:, None]) ** 2 * spectrum, axis=-1) / total
+        ),
     }
-    return values, []
+    return values, {}
 
 
-def empirical_energy_features(m: CsiMatrix, epsilon: float = EPSILON):
+def empirical_energy_features(b: WindowBatch, epsilon: float = EPSILON):
     """Reflected/absorbed/refracted energy split, normalized to sum to 1.
 
     Reflected pools subcarriers with energy >= the mean, absorbed those
@@ -180,118 +206,84 @@ def empirical_energy_features(m: CsiMatrix, epsilon: float = EPSILON):
     empty on one side; the documented convention sets both energy ratios
     to 1 and flags the window.
     """
-    _require(m.n_subcarriers >= 2 and m.n_samples >= 2, "need K >= 2 and T >= 2")
-    energies = subcarrier_energy(m)
-    mu = energies.mean()
-    if mu <= 0:
-        raise ZeroEnergyWindow("window has zero total energy")
-    above = energies >= mu
-    below = ~above
-    flags = []
-    if not below.any():
-        reflected, absorbed = 1.0, 1.0
-        flags.append("empirical_energy:degenerate_split")
-    else:
-        reflected = energies[above].mean() / mu
-        absorbed = energies[below].mean() / mu
-    sigma_phi = _sample_std(m.phase(), axis=1)
-    refracted = sigma_phi.mean() / np.pi
+    _require(b.n_subcarriers >= 2 and b.n_samples >= 2, "need K >= 2 and T >= 2")
+    energies = b.energies
+    mu = energies.mean(axis=-1)
+    if (mu <= 0).any():
+        raise ZeroEnergyWindow(f"window {np.argmax(mu <= 0)} has zero total energy")
+    above = energies >= mu[:, None]
+    degenerate = above.all(axis=-1)
+    reflected = np.ones(len(mu))
+    absorbed = np.ones(len(mu))
+    # One boolean-indexed mean per window: a masked sum over the whole
+    # row would add the same energies in another order.
+    for i in np.flatnonzero(~degenerate):
+        reflected[i] = energies[i, above[i]].mean() / mu[i]
+        absorbed[i] = energies[i, ~above[i]].mean() / mu[i]
+    refracted = _sample_std(b.phases).mean(axis=-1) / np.pi
     total = reflected + absorbed + refracted
     values = {
         "energy_reflected_emp": reflected / total,
         "energy_absorbed_emp": absorbed / total,
         "energy_refracted_emp": refracted / total,
     }
-    return values, flags
+    return values, {"empirical_energy:degenerate_split": degenerate}
 
 
-def temporal_features(m: CsiMatrix, epsilon: float = EPSILON):
+def temporal_features(b: WindowBatch, epsilon: float = EPSILON):
     """Amplitude fluctuation over time: mean/spread of per-subcarrier stds."""
-    _require(m.n_subcarriers >= 2 and m.n_samples >= 2, "need K >= 2 and T >= 2")
-    amps = m.amplitude()
-    variability = _sample_std(amps, axis=1)
-    v_mean = variability.mean()
-    grand_mean = amps.mean()
-    flags = []
-    if grand_mean > epsilon:
-        cv = v_mean / grand_mean
-    else:
-        cv = 0.0
-        flags.append("temporal:zero_mean_amplitude")
+    _require(b.n_subcarriers >= 2 and b.n_samples >= 2, "need K >= 2 and T >= 2")
+    v_mean, v_std = _mean_spread(_sample_std(b.amps))
+    grand_mean = b.amps.mean(axis=(-2, -1))
+    moving = grand_mean > epsilon
     values = {
         "temporal_variability_mean": v_mean,
-        "temporal_variability_std": np.sqrt(
-            np.sum((variability - v_mean) ** 2) / (m.n_subcarriers - 1)
+        "temporal_variability_std": v_std,
+        "temporal_variability_cv": np.where(
+            moving, v_mean / np.where(moving, grand_mean, 1.0), 0.0
         ),
-        "temporal_variability_cv": cv,
     }
-    return values, flags
+    return values, {"temporal:zero_mean_amplitude": ~moving}
 
 
-def stability_features(m: CsiMatrix, epsilon: float = EPSILON):
+def stability_features(b: WindowBatch, epsilon: float = EPSILON):
     """Per-subcarrier coefficient of variation of |H|, aggregated over k."""
-    _require(m.n_subcarriers >= 2 and m.n_samples >= 2, "need K >= 2 and T >= 2")
-    amps = m.amplitude()
-    mean_k = amps.mean(axis=1)
-    std_k = _sample_std(amps, axis=1)
+    _require(b.n_subcarriers >= 2 and b.n_samples >= 2, "need K >= 2 and T >= 2")
+    mean_k = b.spectrum
     degenerate = mean_k <= epsilon
-    cv = np.where(degenerate, 0.0, std_k / np.where(degenerate, 1.0, mean_k))
-    flags = ["stability:zero_mean_subcarrier"] if degenerate.any() else []
-    cv_mean = cv.mean()
-    values = {
-        "stability_mean_cv": cv_mean,
-        "stability_std_cv": np.sqrt(np.sum((cv - cv_mean) ** 2) / (m.n_subcarriers - 1)),
-    }
-    return values, flags
+    cv = np.where(degenerate, 0.0, _sample_std(b.amps) / np.where(degenerate, 1.0, mean_k))
+    cv_mean, cv_std = _mean_spread(cv)
+    values = {"stability_mean_cv": cv_mean, "stability_std_cv": cv_std}
+    return values, {"stability:zero_mean_subcarrier": degenerate.any(axis=-1)}
 
 
-def correlation_features(m: CsiMatrix, epsilon: float = EPSILON):
+def correlation_features(b: WindowBatch, epsilon: float = EPSILON):
     """Pearson correlation between adjacent subcarriers' amplitude series."""
-    _require(m.n_subcarriers >= 3, "need K >= 3")
-    _require(m.n_samples >= 3, "need T >= 3")
-    amps = m.amplitude()
-    centered = amps - amps.mean(axis=1, keepdims=True)
-    var = np.mean(centered**2, axis=1)
-    cov = np.mean(centered[:-1] * centered[1:], axis=1)
-    denom = np.sqrt(var[:-1] * var[1:])
+    _require(b.n_subcarriers >= 3, "need K >= 3")
+    _require(b.n_samples >= 3, "need T >= 3")
+    centered = b.amps - b.spectrum[..., None]
+    var = np.mean(centered**2, axis=-1)
+    cov = np.mean(centered[:, :-1] * centered[:, 1:], axis=-1)
+    denom = np.sqrt(var[:, :-1] * var[:, 1:])
     degenerate = denom < epsilon
     rho = np.where(degenerate, 0.0, cov / np.where(degenerate, 1.0, denom))
-    flags = ["correlation:zero_variance_pair"] if degenerate.any() else []
-    rho_mean = rho.mean()
-    k1 = m.n_subcarriers - 1
-    values = {
-        "adjacent_correlation_mean": rho_mean,
-        "adjacent_correlation_std": np.sqrt(np.sum((rho - rho_mean) ** 2) / (k1 - 1)),
-    }
-    return values, flags
+    rho_mean, rho_std = _mean_spread(rho)
+    values = {"adjacent_correlation_mean": rho_mean, "adjacent_correlation_std": rho_std}
+    return values, {"correlation:zero_variance_pair": degenerate.any(axis=-1)}
 
 
-def roughness_features(m: CsiMatrix, epsilon: float = EPSILON):
+def roughness_features(b: WindowBatch, epsilon: float = EPSILON):
     """First-order absolute differences of the time-averaged magnitude."""
-    _require(m.n_subcarriers >= 3, "need K >= 3")
-    spectrum = mean_magnitude_spectrum(m)
-    rough = np.abs(np.diff(spectrum))
-    r_mean = rough.mean()
-    k1 = m.n_subcarriers - 1
-    values = {
-        "spectral_roughness_mean": r_mean,
-        "spectral_roughness_std": np.sqrt(np.sum((rough - r_mean) ** 2) / (k1 - 1)),
-    }
-    return values, []
+    _require(b.n_subcarriers >= 3, "need K >= 3")
+    r_mean, r_std = _mean_spread(np.abs(np.diff(b.spectrum, axis=-1)))
+    return {"spectral_roughness_mean": r_mean, "spectral_roughness_std": r_std}, {}
 
 
-def curvature_features(m: CsiMatrix, epsilon: float = EPSILON):
+def curvature_features(b: WindowBatch, epsilon: float = EPSILON):
     """Second-order absolute differences of the time-averaged magnitude."""
-    _require(m.n_subcarriers >= 4, "need K >= 4")
-    spectrum = mean_magnitude_spectrum(m)
-    curve = np.abs(np.diff(spectrum, n=2))
-    c_mean = curve.mean()
-    k2 = m.n_subcarriers - 2
-    values = {
-        "spectral_curvature_mean": c_mean,
-        "spectral_curvature_std": np.sqrt(np.sum((curve - c_mean) ** 2) / (k2 - 1)),
-    }
-    return values, []
+    _require(b.n_subcarriers >= 4, "need K >= 4")
+    c_mean, c_std = _mean_spread(np.abs(np.diff(b.spectrum, n=2, axis=-1)))
+    return {"spectral_curvature_mean": c_mean, "spectral_curvature_std": c_std}, {}
 
 
 # Group name -> (function, the names it emits in order), in output order.
@@ -355,22 +347,31 @@ def feature_names(cfg: FeatureSetConfig = DEFAULT_CONFIG) -> tuple[str, ...]:
     return tuple(out)
 
 
-def extract_all(m: CsiMatrix, cfg: FeatureSetConfig = DEFAULT_CONFIG) -> FeatureVector:
-    """Concatenate every enabled group in the fixed documented order.
+def extract_all(
+    values: np.ndarray, freqs: np.ndarray, cfg: FeatureSetConfig = DEFAULT_CONFIG
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Feature rows ``[N, F]`` of the windows ``values[N, K, W]``, one column per
+    ``feature_names(cfg)`` entry, and every enabled group's flags (name -> bool[N]).
 
-    Group failures are re-raised as FeatureGroupError naming the group.
+    Group failures are re-raised as FeatureGroupError naming the group; a
+    non-finite feature value raises ValueError naming the feature.
     """
-    names: list[str] = []
-    values: list[float] = []
-    flags: list[str] = []
+    b = window_batch(values, freqs)
+    columns: list[np.ndarray] = []
+    flags: dict[str, np.ndarray] = {}
     for group, (fn, _) in GROUPS.items():
         if group not in cfg.enabled_groups:
             continue
         try:
-            group_values, group_flags = fn(m, cfg.epsilon)
+            group_values, group_flags = fn(b, cfg.epsilon)
         except (ValueError, ZeroEnergyWindow, ZeroSpectrum) as exc:
             raise FeatureGroupError(group, exc) from exc
-        names.extend(group_values)
-        values.extend(float(v) for v in group_values.values())
-        flags.extend(group_flags)
-    return FeatureVector(tuple(names), np.array(values), tuple(flags))
+        columns.extend(group_values.values())
+        flags.update(group_flags)
+    rows = np.column_stack(columns) if columns else np.empty((len(b.amps), 0))
+    bad = np.argwhere(~np.isfinite(rows))
+    if bad.size:
+        window, column = bad[0]
+        name = feature_names(cfg)[column]
+        raise ValueError(f"non-finite feature value: {name} (window {window})")
+    return rows, flags

@@ -1,11 +1,12 @@
 """Evaluation protocol: windowing, leakage-free cross-validation, leakage audit.
 
 The pipeline per acquisition is calibrate -> IQR subcarrier filter ->
-rolling-MAD repair, then non-overlapping windows, then one feature
-vector per window. Cross-validation folds operate on the feature
-matrix; the z-score scaler and the mRMR ranking are fit strictly inside
-the training rows of each fold (the deliberately leaky variant fits
-them on everything and exists only to power the leakage audit).
+rolling-MAD repair, then non-overlapping windows batched per record,
+then one feature row per window. Cross-validation folds operate on the
+feature matrix; the z-score scaler and the mRMR ranking are fit
+strictly inside the training rows of each fold (the deliberately leaky
+variant fits them on everything and exists only to power the leakage
+audit).
 
 Two split modes:
 
@@ -23,8 +24,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import calib, clean, features, metrics, select
 from .classify import ModelSpec, fit
@@ -115,12 +118,23 @@ def protocol_from_dict(d: dict, ignore=()) -> ProtocolConfig:
 
 # --- windowing -----------------------------------------------------------------
 
-def window_dataset(dataset: Dataset, cfg: ProtocolConfig) -> list[tuple[CsiMatrix, SubjectLabel]]:
-    """Cut every acquisition into contiguous windows of ``window_size``.
+class RecordWindows(NamedTuple):
+    """One record's windows ``values[N, K, W]`` with their provenance."""
+
+    values: np.ndarray
+    freqs: np.ndarray
+    starts: tuple[int, ...]
+    record_index: int
+    label: SubjectLabel
+
+
+def window_dataset(dataset: Dataset, cfg: ProtocolConfig) -> list[RecordWindows]:
+    """Cut every acquisition into windows of ``window_size``, one batch per record.
 
     Default stride equals the window size (non-overlapping); a trailing
-    remainder shorter than one window is dropped. Window provenance
-    (record index, start sample) lands in the window matrix metadata.
+    remainder shorter than one window is dropped. Each batch is a strided
+    view of its record: ``features.extract_all`` copies one record at a
+    time into C order, so the whole dataset is never held twice.
     """
     out = []
     for record_index, (matrix, label) in enumerate(dataset):
@@ -129,13 +143,10 @@ def window_dataset(dataset: Dataset, cfg: ProtocolConfig) -> list[tuple[CsiMatri
                 f"record {record_index} ({label.subject_id}/sample {label.sample_index}) "
                 f"has T={matrix.n_samples} < window_size={cfg.window_size}"
             )
-        for start in range(0, matrix.n_samples - cfg.window_size + 1, cfg.stride):
-            window = CsiMatrix(
-                values=matrix.values[:, start : start + cfg.window_size],
-                freqs=matrix.freqs,
-                meta={**matrix.meta, "record_index": record_index, "window_start": start},
-            )
-            out.append((window, label))
+        view = sliding_window_view(matrix.values, cfg.window_size, axis=1)[:, :: cfg.stride]
+        batch = np.moveaxis(view, 1, 0)  # [N, K, W]
+        starts = tuple(range(0, matrix.n_samples - cfg.window_size + 1, cfg.stride))
+        out.append(RecordWindows(batch, matrix.freqs, starts, record_index, label))
     return out
 
 
@@ -169,7 +180,7 @@ def _apply_hand_filter(dataset: Dataset, hand_filter: str) -> Dataset:
 
 
 def prepare_windows(dataset: Dataset, cfg: ProtocolConfig) -> WindowSet:
-    """Run the per-record pipeline and extract one feature vector per window."""
+    """Run the per-record pipeline and extract one feature row per window."""
     dataset = _apply_hand_filter(dataset, cfg.hand_filter)
     if len(dataset) == 0:
         raise InsufficientData("no records left after the hand filter")
@@ -177,15 +188,16 @@ def prepare_windows(dataset: Dataset, cfg: ProtocolConfig) -> WindowSet:
     processed = Dataset(
         tuple((preprocess_record(m, cfg.preprocess), lab) for m, lab in dataset)
     )
-    windows = window_dataset(processed, cfg)
-    vectors = [features.extract_all(w, feature_cfg) for w, _ in windows]
-    labels = tuple(lab.subject_id for _, lab in windows)
+    records = window_dataset(processed, cfg)
+    rows = [features.extract_all(r.values, r.freqs, feature_cfg)[0] for r in records]
+    windows = [(r, start) for r in records for start in r.starts]
+    subjects = tuple(r.label.subject_id for r, _ in windows)
     return WindowSet(
-        matrix=FeatureMatrix.from_vectors(vectors, labels),
-        subjects=labels,
-        sample_indices=tuple(lab.sample_index for _, lab in windows),
-        record_indices=tuple(w.meta["record_index"] for w, _ in windows),
-        window_starts=tuple(w.meta["window_start"] for w, _ in windows),
+        matrix=FeatureMatrix(features.feature_names(feature_cfg), np.vstack(rows), subjects),
+        subjects=subjects,
+        sample_indices=tuple(r.label.sample_index for r, _ in windows),
+        record_indices=tuple(r.record_index for r, _ in windows),
+        window_starts=tuple(start for _, start in windows),
     )
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, LengthMismatch, NoCsiFrames, UnsupportedVersion
+from .errors import BadMagic, LengthMismatch, ManifestMismatch, NoCsiFrames, UnsupportedVersion
 from .model import CsiMatrix, Dataset, Hand, SubjectLabel, validate_matrix
 
 DEFAULT_CENTER_HZ = 5.18e9
@@ -293,17 +293,28 @@ def write_dataset_dir(dataset: Dataset, out_dir) -> dict:
 
 
 def read_dataset_dir(path) -> Dataset:
-    """Load a dataset directory written by write_dataset_dir."""
+    """Load a dataset directory written by write_dataset_dir.
+
+    The labels and shape a manifest entry records must match its file's header.
+    """
     root = Path(path)
     manifest_path = root / "manifest.json"
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
-        names = [entry["file"] for entry in manifest["records"]]
+        entries = json.loads(manifest_path.read_text())["records"]
     else:
-        names = sorted(p.name for p in root.glob("*.csi"))
-    if not names:
+        entries = [{"file": p.name} for p in sorted(root.glob("*.csi"))]
+    if not entries:
         raise FileNotFoundError(f"no portable CSI files under {root}")
     records = []
-    for name in names:
-        records.append(read_portable(root / name))
+    for entry in entries:
+        file = root / entry["file"]
+        matrix, label = read_portable(file)
+        header = {"subject_id": label.subject_id, "sample_index": label.sample_index,
+                  "hand": label.hand.value, "subcarriers": matrix.n_subcarriers,
+                  "samples": matrix.n_samples}
+        wrong = [f"{k}={entry[k]!r} (header {v!r})" for k, v in header.items()
+                 if k in entry and entry[k] != v]
+        if wrong:
+            raise ManifestMismatch(f"{file}: manifest says {', '.join(wrong)}")
+        records.append((matrix, label))
     return Dataset(tuple(records))

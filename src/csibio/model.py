@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, is_dataclass, replace
 from enum import Enum, EnumMeta
 from numbers import Integral, Real
 from types import UnionType
-from typing import Iterable, Sequence, get_args, get_type_hints
+from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -161,37 +161,8 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    """Named scalar descriptors for one window, with degeneracy flags."""
-
-    names: tuple[str, ...]
-    values: np.ndarray
-    flags: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "flags", tuple(self.flags))
-        values.flags.writeable = False
-        if len(self.names) != values.shape[0]:
-            raise ValueError("names and values must have equal length")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("feature names must be unique")
-        if not np.all(np.isfinite(values)):
-            bad = self.names[int(np.argmax(~np.isfinite(values)))]
-            raise ValueError(f"non-finite feature value: {bad}")
-
-    def __getitem__(self, name: str) -> float:
-        return float(self.values[self.names.index(name)])
-
-    def as_dict(self) -> dict[str, float]:
-        return {n: float(v) for n, v in zip(self.names, self.values)}
-
-
-@dataclass(frozen=True)
 class FeatureMatrix:
-    """Stacked feature vectors: rows are windows, columns are named features."""
+    """Feature rows: one row per window, one named column per feature."""
 
     feature_names: tuple[str, ...]
     values: np.ndarray
@@ -211,16 +182,6 @@ class FeatureMatrix:
     @property
     def n_rows(self) -> int:
         return self.values.shape[0]
-
-    @staticmethod
-    def from_vectors(vectors: Sequence[FeatureVector], labels: Iterable[str]) -> "FeatureMatrix":
-        if not vectors:
-            raise ValueError("at least one feature vector required")
-        names = vectors[0].names
-        for v in vectors[1:]:
-            if v.names != names:
-                raise ValueError("all feature vectors must share one schema")
-        return FeatureMatrix(names, np.vstack([v.values for v in vectors]), tuple(labels))
 
     def select(self, names: Sequence[str]) -> "FeatureMatrix":
         idx = [self.feature_names.index(n) for n in names]
@@ -281,7 +242,7 @@ class ScoreMatrix:
 # --- config codec -----------------------------------------------------------------
 
 # JSON value checks by field type: a bool is not a number and a float is not an int.
-_SCALARS = {
+JSON_TYPES = {
     bool: lambda v: isinstance(v, bool),
     int: lambda v: isinstance(v, Integral) and not isinstance(v, bool),
     float: lambda v: isinstance(v, Real) and not isinstance(v, bool),
@@ -295,7 +256,7 @@ def _coerce(tp, value, where: str):
         if value is None:
             return None
         tp = get_args(tp)[0]
-    if tp in _SCALARS and not _SCALARS[tp](value):
+    if tp in JSON_TYPES and not JSON_TYPES[tp](value):
         raise TypeError(f"{where} must be a JSON {tp.__name__}, got {value!r}")
     if isinstance(tp, EnumMeta) and value not in [m.value for m in tp]:
         raise ValueError(f"{where} must be one of {[m.value for m in tp]}, got {value!r}")

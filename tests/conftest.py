@@ -19,3 +19,34 @@ def random_matrix(rng, k=8, t=16, scale=1.0):
     values = scale * (rng.normal(1.0, 0.5, (k, t)) + 1j * rng.normal(0.0, 0.5, (k, t)))
     freqs = 5.16e9 + 312_500.0 * np.arange(k)
     return CsiMatrix(values=values, freqs=freqs)
+
+
+def run_group(fn, m):
+    """One feature group on the single window ``m`` (a batch of one).
+
+    Returns the group's values as name -> float and the names of the flags it raised.
+    """
+    from csibio.features import window_batch
+
+    values, flags = fn(window_batch(m.values[None], m.freqs))
+    return {k: float(v[0]) for k, v in values.items()}, [f for f, hit in flags.items() if hit[0]]
+
+
+class FeatureRow(dict):
+    """``features.extract_all`` of one window, keyed by feature name in column order."""
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(self)
+
+    def as_dict(self) -> dict[str, float]:
+        return dict(self)
+
+
+def extract_window(m, cfg=None):
+    """``features.extract_all`` of the single window ``m`` (a batch of one)."""
+    from csibio import features
+
+    cfg = cfg or features.DEFAULT_CONFIG
+    rows, _ = features.extract_all(m.values[None], m.freqs, cfg)
+    return FeatureRow(zip(features.feature_names(cfg), rows[0]))

@@ -35,7 +35,7 @@ class TestIqrFilter:
         assert out.n_subcarriers == 16
         assert out.freqs.shape == (16,)
         # Brute-force fence check.
-        e = subcarrier_energy(m)
+        e = subcarrier_energy(m.amplitude())
         lo, hi = iqr_fences(e)
         expected = [int(i) for i in np.flatnonzero((e < lo) | (e > hi))]
         assert removed == expected
@@ -45,7 +45,7 @@ class TestIqrFilter:
             k = int(rng.integers(4, 40))
             amps = rng.uniform(0.1, 3.0, (k, 6))
             m = _matrix_from_amps(amps)
-            e = subcarrier_energy(m)
+            e = subcarrier_energy(m.amplitude())
             q1, q3 = np.percentile(e, [25, 75])
             lo, hi = q1 - 1.5 * (q3 - q1), q3 + 1.5 * (q3 - q1)
             expected = [int(i) for i in np.flatnonzero((e < lo) | (e > hi))]

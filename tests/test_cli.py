@@ -373,6 +373,53 @@ class TestConfigErrors:
         assert needle in err["detail"]
 
 
+    @pytest.mark.parametrize("print_config", [False, True])
+    @pytest.mark.parametrize("kind,hyperparams,needle", [
+        ("knn", {"k": 2.5}, "'k'"),
+        ("knn", {"k": True}, "'k'"),
+        ("knn", {"k": "5"}, "'k'"),
+        ("knn", {"weights": 1}, "weights"),
+        ("gaussian_nb", {"var_smoothing": "1e-9"}, "'var_smoothing'"),
+        ("gaussian_nb", {"var_smoothing": False}, "'var_smoothing'"),
+        ("decision_tree", {"max_depth": 2.5}, "max_depth"),
+        ("decision_tree", {"max_depth": True}, "max_depth"),
+        ("decision_tree", {"min_samples_split": 2.0}, "'min_samples_split'"),
+        ("random_forest", {"n_trees": 10.0}, "'n_trees'"),
+        ("random_forest", {"max_features": "log2"}, "max_features"),
+        ("random_forest", {"max_features": 1.5}, "max_features"),
+        ("random_forest", {"bootstrap": "yes"}, "'bootstrap'"),
+        ("mlp", {"hidden_layers": [8.5]}, "hidden layer"),
+        ("mlp", {"hidden_layers": [True]}, "hidden layer"),
+        ("mlp", {"hidden_layers": 8}, "hidden layer"),
+        ("mlp", {"batch_size": 32.0}, "'batch_size'"),
+        ("mlp", {"max_epochs": True}, "'max_epochs'"),
+        ("mlp", {"patience": "20"}, "'patience'"),
+        ("mlp", {"learning_rate": "0.1"}, "'learning_rate'"),
+    ])
+    def test_mistyped_hyperparam_exits_2(self, tmp_path, capsys, kind, hyperparams, needle,
+                                         print_config):
+        cfg = _protocol_file(tmp_path, models=[{"kind": kind, "hyperparams": hyperparams}],
+                             audit=False)
+        argv = ["evaluate", str(tmp_path / "missing"), "--config", str(cfg),
+                "--out", str(tmp_path / "o")]
+        assert main(argv + ["--print-config"] * print_config) == 2
+        err = _one_json_error_line(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert needle in err["detail"]
+
+    def test_well_typed_hyperparams_load(self, tmp_path, capsys):
+        models = [
+            {"kind": "gaussian_nb", "hyperparams": {"var_smoothing": 1}},
+            {"kind": "random_forest", "hyperparams": {"max_depth": None, "max_features": 3}},
+            {"kind": "mlp", "hyperparams": {"hidden_layers": [8, 4], "tol": 0}},
+        ]
+        cfg = _protocol_file(tmp_path, models=models, audit=False)
+        assert main(["evaluate", "--config", str(cfg), "--print-config"]) == 0
+        printed = json.loads(capsys.readouterr().out)["models"]
+        assert printed[2]["hyperparams"]["hidden_layers"] == [8, 4]
+        assert printed[1]["hyperparams"]["max_features"] == 3
+
+
 SUBJECTS = [
     {"subject_id": "a", "paths": [[1.0, 0.0, 0.0]]},
     {"subject_id": "b", "paths": [[0.5, 1.0, 0.0]]},
@@ -426,6 +473,18 @@ def test_bad_manifest_entry_exits_2_before_reading(tmp_path, capsys, entry, need
     assert err["error"] == "ConfigError"
     assert needle in err["detail"]
     assert not out.exists()
+
+
+def test_dataset_manifest_mismatch_exits_1(dataset_dir, tmp_path, capsys):
+    path = dataset_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["records"][0]["subject_id"] = "someone-else"
+    path.write_text(json.dumps(manifest))
+    assert main(["features", str(dataset_dir), "--out", str(tmp_path / "f")]) == 1
+    err = _one_json_error_line(capsys.readouterr().err)
+    assert err["error"] == "ManifestMismatch"
+    assert manifest["records"][0]["file"] in err["detail"]
+    assert not (tmp_path / "f").exists()
 
 
 def test_manifest_missing_input_exits_1(tmp_path, capsys):

@@ -56,15 +56,15 @@ class TestWindowing:
 
     def test_exact_division(self, rng):
         cfg = ProtocolConfig(window_size=50)
-        windows = window_dataset(self._dataset(rng, 500), cfg)
-        assert len(windows) == 20  # 10 per record
-        starts = [w.meta["window_start"] for w, _ in windows[:10]]
+        records = window_dataset(self._dataset(rng, 500), cfg)
+        assert sum(len(r.values) for r in records) == 20  # 10 per record
+        starts = list(records[0].starts)
         assert starts == list(range(0, 500, 50))
 
     def test_remainder_dropped(self, rng):
         cfg = ProtocolConfig(window_size=50)
-        windows = window_dataset(self._dataset(rng, 120), cfg)
-        assert len(windows) == 4  # 2 per record, 20 samples dropped
+        records = window_dataset(self._dataset(rng, 120), cfg)
+        assert sum(len(r.values) for r in records) == 4  # 2 per record, 20 samples dropped
 
     def test_record_too_short(self, rng):
         cfg = ProtocolConfig(window_size=50)
@@ -74,8 +74,18 @@ class TestWindowing:
 
     def test_overlapping_stride(self, rng):
         cfg = ProtocolConfig(window_size=50, window_stride=25)
-        windows = window_dataset(self._dataset(rng, 100), cfg)
-        assert [w.meta["window_start"] for w, _ in windows[:3]] == [0, 25, 50]
+        records = window_dataset(self._dataset(rng, 100), cfg)
+        assert list(records[0].starts[:3]) == [0, 25, 50]
+
+    def test_batch_holds_each_window(self, rng):
+        dataset = self._dataset(rng, 110)
+        records = window_dataset(dataset, ProtocolConfig(window_size=50, window_stride=20))
+        for record_index, (record, (m, label)) in enumerate(zip(records, dataset)):
+            assert record.values.shape == (4, 8, 50)
+            assert record.starts == (0, 20, 40, 60)
+            assert (record.record_index, record.label) == (record_index, label)
+            for window, start in zip(record.values, record.starts):
+                assert np.array_equal(window, m.values[:, start : start + 50])
 
 
 class TestStratifiedKfold:

@@ -1,7 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
-from csibio.errors import BadMagic, LengthMismatch, NoCsiFrames, UnsupportedVersion
+from csibio.errors import (
+    BadMagic,
+    LengthMismatch,
+    ManifestMismatch,
+    NoCsiFrames,
+    UnsupportedVersion,
+)
 from csibio.ingest import (
     PcapSource,
     decode_chanspec,
@@ -186,3 +194,21 @@ class TestDatasetDir:
         (tmp_path / "empty").mkdir()
         with pytest.raises(FileNotFoundError):
             read_dataset_dir(tmp_path / "empty")
+
+    @pytest.mark.parametrize("key,value", [
+        ("subject_id", "someone-else"), ("sample_index", 7), ("hand", "left"),
+        ("subcarriers", 16), ("samples", 21),
+    ])
+    def test_manifest_label_mismatch_names_file(self, tmp_path, key, value):
+        scenario = bundled_scenario(
+            n_subjects=2, samples_per_subject=2, n_samples=20, n_subcarriers=8
+        )
+        write_dataset_dir(generate_dataset(scenario), tmp_path / "ds")
+        path = tmp_path / "ds" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["records"][2][key] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ManifestMismatch) as err:
+            read_dataset_dir(tmp_path / "ds")
+        assert manifest["records"][2]["file"] in str(err.value)
+        assert f"{key}={value!r}" in str(err.value)

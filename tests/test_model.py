@@ -5,7 +5,6 @@ from csibio.model import (
     CsiMatrix,
     Dataset,
     FeatureMatrix,
-    FeatureVector,
     Hand,
     ScoreMatrix,
     SubjectLabel,
@@ -87,23 +86,8 @@ class TestDataset:
 
 
 class TestFeatureTypes:
-    def test_unique_names_enforced(self):
-        with pytest.raises(ValueError):
-            FeatureVector(("a", "a"), np.array([1.0, 2.0]))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            FeatureVector(("a",), np.array([np.inf]))
-
-    def test_matrix_from_vectors_checks_schema(self):
-        v1 = FeatureVector(("a", "b"), np.array([1.0, 2.0]))
-        v2 = FeatureVector(("a", "c"), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            FeatureMatrix.from_vectors([v1, v2], ["x", "y"])
-
     def test_select_reorders_columns(self):
-        v = FeatureVector(("a", "b"), np.array([1.0, 2.0]))
-        fm = FeatureMatrix.from_vectors([v], ["x"])
+        fm = FeatureMatrix(("a", "b"), np.array([[1.0, 2.0]]), ("x",))
         sel = fm.select(["b", "a"])
         assert sel.feature_names == ("b", "a")
         assert sel.values.tolist() == [[2.0, 1.0]]

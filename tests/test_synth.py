@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from csibio import features
 from csibio.errors import InvalidSpec
 from csibio.model import Hand
 from csibio.synth import (
@@ -22,6 +21,7 @@ from csibio.synth import (
     split_attack,
     synthesize_matrix,
 )
+from conftest import extract_window
 
 
 def _freqs(k):
@@ -156,7 +156,7 @@ class TestStaticChannelProperty:
         # time-variability descriptor must be exactly 0.
         spec = _clean_spec([(1.0, 0.2, 25e-9), (0.7, 1.1, 70e-9)])
         m = synthesize_matrix(spec, 12, 9, _freqs(12))
-        vec = features.extract_all(m)
+        vec = extract_window(m)
         for name in (
             "temporal_variability_mean", "temporal_variability_std",
             "temporal_variability_cv", "stability_mean_cv", "stability_std_cv",
