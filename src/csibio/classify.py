@@ -68,6 +68,9 @@ def _validate_training(x: np.ndarray, codes: np.ndarray, n_classes: int):
 
 # --- k-nearest neighbors ----------------------------------------------------
 
+_KNN_CHUNK_ELEMENTS = 1 << 20
+
+
 class _Knn:
     defaults = {"k": 5, "weights": "uniform"}
 
@@ -90,22 +93,25 @@ class _Knn:
         return _Knn(x.copy(), codes, n_classes, hp["k"], hp["weights"])
 
     def predict_proba(self, x):
-        d2 = np.sum((x[:, None, :] - self.x[None, :, :]) ** 2, axis=2)
-        order = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         probs = np.zeros((x.shape[0], self.n_classes))
-        for i in range(x.shape[0]):
-            idx = order[i]
+        # Test rows per chunk keep the [rows, n_train, d] difference array near 8 MB.
+        step = max(1, _KNN_CHUNK_ELEMENTS // max(1, self.x.size))
+        for start in range(0, x.shape[0], step):
+            chunk = x[start : start + step]
+            d2 = np.sum((chunk[:, None, :] - self.x[None, :, :]) ** 2, axis=2)
+            order = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
             if self.weights == "distance":
-                dist = np.sqrt(d2[i, idx])
+                dist = np.sqrt(np.take_along_axis(d2, order, axis=1))
                 exact = dist == 0
-                w = 1.0 / dist[~exact] if not exact.any() else None
-                if exact.any():
-                    np.add.at(probs[i], self.codes[idx[exact]], 1.0)
-                else:
-                    np.add.at(probs[i], self.codes[idx], w)
+                with np.errstate(divide="ignore"):
+                    # A row with an exact match votes 1.0 per exact neighbour only.
+                    w = np.where(exact.any(axis=1, keepdims=True), exact * 1.0, 1.0 / dist)
             else:
-                np.add.at(probs[i], self.codes[idx], 1.0)
-            probs[i] /= probs[i].sum()
+                w = 1.0
+            # add.at adds in neighbour order, as a per-row loop would.
+            rows = np.arange(start, start + chunk.shape[0])[:, None]
+            np.add.at(probs, (rows, self.codes[order]), w)
+        probs /= probs.sum(axis=1, keepdims=True)
         return probs
 
     def arrays(self):
@@ -275,41 +281,55 @@ def _best_split(x, codes, idx, n_classes, max_features, rng):
     """Lowest weighted Gini cost over candidate (feature, midpoint) splits.
 
     Ties resolve toward the lower threshold, then the lower feature
-    index (features are scanned in ascending order).
+    index. All candidate features are scored at once as [m, n] arrays in
+    each feature's stable sort order.
     """
     n, d = idx.shape[0], x.shape[1]
     if max_features is None or max_features >= d:
-        candidates = range(d)
+        candidates = np.arange(d)
     else:
         candidates = np.sort(rng.choice(d, size=max_features, replace=False))
-    best = None  # (cost, threshold, feature)
-    onehot = np.zeros((n, n_classes))
-    for f in candidates:
-        col = x[idx, f]
-        order = np.argsort(col, kind="stable")
-        xs = col[order]
-        boundaries = np.flatnonzero(xs[:-1] != xs[1:])
-        if boundaries.size == 0:
-            continue
-        onehot[:] = 0.0
-        onehot[np.arange(n), codes[idx[order]]] = 1.0
-        prefix = np.cumsum(onehot, axis=0)
-        total = prefix[-1]
-        nl = (boundaries + 1).astype(float)
-        nr = n - nl
-        left_counts = prefix[boundaries]
-        right_counts = total[None, :] - left_counts
-        gini_l = 1.0 - np.sum((left_counts / nl[:, None]) ** 2, axis=1)
-        gini_r = 1.0 - np.sum((right_counts / nr[:, None]) ** 2, axis=1)
-        cost = (nl * gini_l + nr * gini_r) / n
-        thresholds = 0.5 * (xs[boundaries] + xs[boundaries + 1])
-        j = np.lexsort((thresholds, cost))[0]
-        key = (cost[j], thresholds[j], int(f))
-        if best is None or key < best:
-            best = key
-    if best is None:
+    rows = np.arange(len(candidates))[:, None]
+    cols = x.T[candidates[:, None], idx]
+    order = cols.argsort(axis=1, kind="stable")
+    xs = cols[rows, order]
+    distinct = xs[:, :-1] != xs[:, 1:]  # [m, n - 1]: boundary after sorted row p
+    if not distinct.any():
         return None
-    return best[2], best[1]
+    node_codes = codes[idx]
+    ys = node_codes[order]
+    totals = np.bincount(node_codes, minlength=n_classes)
+    starts = totals.cumsum() - totals
+    # Rows grouped by class, in sort order within each class (a radix sort on small codes).
+    by_class = ys.astype(np.min_scalar_type(n_classes)).argsort(axis=1, kind="stable")
+    slot_class = np.repeat(np.arange(n_classes), totals)
+    rank = np.empty_like(by_class)
+    rank[rows, by_class] = np.arange(n) - starts[slot_class]
+    # S_l grows by 2 * rank + 1 per row; S_r = sum T^2 - 2 sum_c T_c L_c + S_l.
+    s_left = (2 * rank + 1).cumsum(axis=1)[:, :-1]
+    s_right = totals @ totals - 2 * totals[ys].cumsum(axis=1)[:, :-1] + s_left
+    # n * cost from the exact S_l and S_r is off by a few ulp, and so is the
+    # Gini expression below, whose float value sets the tie-breaks. Both
+    # errors are far below 1e-9 * n, so every boundary left off this
+    # shortlist has a larger float cost than the one chosen.
+    nl = np.arange(1.0, n)
+    bound = np.where(distinct, n - s_left / nl - s_right / (n - nl), np.inf)
+    f_i, p_i = np.nonzero(bound <= bound.min() + 1e-9 * n)
+
+    # Left class counts of each shortlisted boundary, from the class-grouped order.
+    keys = ((rows * n_classes + slot_class) * n + by_class).ravel()
+    queries = (f_i[:, None] * n_classes + np.arange(n_classes)) * n + p_i[:, None]
+    left_counts = (np.searchsorted(keys, queries, side="right")
+                   - (f_i[:, None] * n + starts)).astype(float)
+    nl = (p_i + 1).astype(float)
+    nr = n - nl
+    right_counts = totals.astype(float)[None, :] - left_counts
+    gini_l = 1.0 - np.sum((left_counts / nl[:, None]) ** 2, axis=1)
+    gini_r = 1.0 - np.sum((right_counts / nr[:, None]) ** 2, axis=1)
+    cost = (nl * gini_l + nr * gini_r) / n
+    thresholds = 0.5 * (xs[f_i, p_i] + xs[f_i, p_i + 1])
+    j = np.lexsort((thresholds, cost))[0]  # stable: the lower feature wins a full tie
+    return int(candidates[f_i[j]]), thresholds[j]
 
 
 # --- random forest ------------------------------------------------------------

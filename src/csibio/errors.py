@@ -36,8 +36,12 @@ class LengthMismatch(PipelineError):
     """Portable CSI payload shorter/longer than the header promises."""
 
 
+class CorruptHeader(PipelineError):
+    """Portable CSI header describes a matrix write_portable never writes."""
+
+
 class ManifestMismatch(PipelineError):
-    """A dataset manifest entry disagrees with its file's header."""
+    """A dataset manifest is malformed or an entry disagrees with its file's header."""
 
 
 # --- synth ----------------------------------------------------------------

@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, LengthMismatch, ManifestMismatch, NoCsiFrames, UnsupportedVersion
+from .errors import (BadMagic, CorruptHeader, LengthMismatch, ManifestMismatch, NoCsiFrames,
+                     UnsupportedVersion)
 from .model import CsiMatrix, Dataset, Hand, SubjectLabel, validate_matrix
 
 DEFAULT_CENTER_HZ = 5.18e9
@@ -253,9 +254,12 @@ def read_portable(path) -> tuple[CsiMatrix, SubjectLabel]:
             f"{path}: payload is {len(data) - offset} bytes, header promises {expected}"
         )
     values = np.frombuffer(data, dtype="<c16", offset=offset).reshape(k, t)
-    freqs = f0 + df * np.arange(k)
+    matrix = CsiMatrix(values=values, freqs=f0 + df * np.arange(k), meta={"source": str(path)})
+    problems = validate_matrix(matrix, allow_nan=True)  # the shape and grid write_portable checks
+    if problems:
+        raise CorruptHeader(f"{path}: {'; '.join(problems)}")
     label = SubjectLabel(subject, sample_index, _HAND_FROM_CODE.get(hand_code, Hand.UNSPECIFIED))
-    return CsiMatrix(values=values, freqs=freqs, meta={"source": str(path)}), label
+    return matrix, label
 
 
 # --- dataset directories -------------------------------------------------------
@@ -292,15 +296,31 @@ def write_dataset_dir(dataset: Dataset, out_dir) -> dict:
     return manifest
 
 
+def _manifest_records(path: Path) -> list[dict]:
+    """The record entries of a dataset manifest, each an object naming its file."""
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ManifestMismatch(f"{path}: not valid JSON ({exc})") from exc
+    records = manifest.get("records") if isinstance(manifest, dict) else None
+    if not isinstance(records, list):
+        raise ManifestMismatch(f"{path}: expected an object with a 'records' list")
+    for i, entry in enumerate(records):
+        if not isinstance(entry, dict) or not isinstance(entry.get("file"), str):
+            raise ManifestMismatch(f"{path}: record {i} must be an object with a string 'file'")
+    return records
+
+
 def read_dataset_dir(path) -> Dataset:
     """Load a dataset directory written by write_dataset_dir.
 
-    The labels and shape a manifest entry records must match its file's header.
+    A malformed manifest raises ManifestMismatch. The labels and shape a
+    manifest entry records must match its file's header.
     """
     root = Path(path)
     manifest_path = root / "manifest.json"
     if manifest_path.exists():
-        entries = json.loads(manifest_path.read_text())["records"]
+        entries = _manifest_records(manifest_path)
     else:
         entries = [{"file": p.name} for p in sorted(root.glob("*.csi"))]
     if not entries:

@@ -62,18 +62,34 @@ def _codes(labels) -> np.ndarray:
     return codes
 
 
-def _discrete_mi(a: np.ndarray, b: np.ndarray) -> float:
-    """MI in bits between two integer-coded vectors via the joint histogram."""
+def _column_codes(x: np.ndarray, cfg: MrmrConfig) -> np.ndarray | None:
+    """Bin codes of a real column, or None when it is constant."""
+    x = np.asarray(x, dtype=np.float64)
+    return None if x.max() == x.min() else discretize(x, cfg)
+
+
+def _discrete_mi(a: np.ndarray | None, b: np.ndarray | None) -> float:
+    """MI in bits between two integer-coded vectors via the joint histogram.
+
+    None stands for a constant column, which carries no information.
+    """
+    if a is None or b is None:
+        return 0.0
     n = a.shape[0]
     n_a = int(a.max()) + 1
     n_b = int(b.max()) + 1
-    joint = np.zeros((n_a, n_b))
-    np.add.at(joint, (a, b), 1.0)
-    joint /= n
+    joint = np.bincount(a * n_b + b, minlength=n_a * n_b).reshape(n_a, n_b) / n
     pa = joint.sum(axis=1, keepdims=True)
     pb = joint.sum(axis=0, keepdims=True)
     nz = joint > 0
     return float(np.sum(joint[nz] * np.log2(joint[nz] / (pa @ pb)[nz])))
+
+
+def _check_samples(n: int, n_labels: int, cfg: MrmrConfig) -> None:
+    if n != n_labels:
+        raise DegenerateInput("x and y must have equal length")
+    if n < cfg.bins:
+        raise DegenerateInput(f"need at least {cfg.bins} samples for {cfg.bins} bins")
 
 
 def mutual_information(x: np.ndarray, y, cfg: MrmrConfig) -> float:
@@ -81,22 +97,14 @@ def mutual_information(x: np.ndarray, y, cfg: MrmrConfig) -> float:
 
     Constant features carry no information and return 0.
     """
-    x = np.asarray(x, dtype=np.float64)
     y_codes = _codes(y)
-    if x.shape[0] != y_codes.shape[0]:
-        raise DegenerateInput("x and y must have equal length")
-    if x.shape[0] < cfg.bins:
-        raise DegenerateInput(f"need at least {cfg.bins} samples for {cfg.bins} bins")
-    if x.max() == x.min():
-        return 0.0
-    return _discrete_mi(discretize(x, cfg), y_codes)
+    _check_samples(len(x), y_codes.shape[0], cfg)
+    return _discrete_mi(_column_codes(x, cfg), y_codes)
 
 
 def feature_mi(a: np.ndarray, b: np.ndarray, cfg: MrmrConfig) -> float:
     """MI between two real features, both discretized with the same config."""
-    if a.max() == a.min() or b.max() == b.min():
-        return 0.0
-    return _discrete_mi(discretize(a, cfg), discretize(b, cfg))
+    return _discrete_mi(_column_codes(a, cfg), _column_codes(b, cfg))
 
 
 def mrmr_rank(matrix: FeatureMatrix, y, cfg: MrmrConfig) -> list[RankedFeature]:
@@ -114,8 +122,10 @@ def mrmr_rank(matrix: FeatureMatrix, y, cfg: MrmrConfig) -> list[RankedFeature]:
         raise DegenerateInput("need at least two classes")
     k_select = min(cfg.k_select, len(names))
 
-    columns = [matrix.values[:, i] for i in range(len(names))]
-    relevance = np.array([mutual_information(c, y_codes, cfg) for c in columns])
+    _check_samples(matrix.values.shape[0], y_codes.shape[0], cfg)
+    # Each column is discretized once per ranking; every MI below reads these codes.
+    codes = [_column_codes(c, cfg) for c in matrix.values.T]
+    relevance = np.array([_discrete_mi(c, y_codes) for c in codes])
 
     remaining = list(range(len(names)))
     selected: list[int] = []
@@ -123,10 +133,10 @@ def mrmr_rank(matrix: FeatureMatrix, y, cfg: MrmrConfig) -> list[RankedFeature]:
     pairwise: dict[tuple[int, int], float] = {}
 
     def pair_mi(i: int, j: int) -> float:
-        key = (min(i, j), max(i, j))
-        if key not in pairwise:
-            pairwise[key] = feature_mi(columns[i], columns[j], cfg)
-        return pairwise[key]
+        # Keyed (candidate, selected): MI is not bit-symmetric in its arguments.
+        if (i, j) not in pairwise:
+            pairwise[i, j] = _discrete_mi(codes[i], codes[j])
+        return pairwise[i, j]
 
     while remaining and len(selected) < k_select:
         best_idx = None

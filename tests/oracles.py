@@ -4,7 +4,9 @@ Everything here is a deliberately naive transcription of the defining
 formulas: explicit Python loops over matrix entries, pairwise counting
 for rank statistics, exhaustive threshold sweeps. No code is shared
 with the package implementations and no algebraic shortcuts are taken,
-so agreement is meaningful evidence.
+so agreement is meaningful evidence. The classifier references are the
+per-feature split search and the per-row knn vote that the batched
+versions replaced; those are compared byte for byte.
 """
 
 from __future__ import annotations
@@ -270,3 +272,66 @@ def bootstrap_eer_spread(genuine, impostor, resamples, seed, ci=0.95):
     eers = np.asarray(eers)
     lo, hi = np.percentile(eers, [50 * (1 - ci), 100 - 50 * (1 - ci)])
     return float(np.std(eers, ddof=1)), float(hi - lo)
+
+
+# --- classifier references --------------------------------------------------------
+
+def best_split_per_feature(x, codes, idx, n_classes, max_features, rng):
+    """The per-feature CART split search: one sort and one-hot cumsum per feature.
+
+    Returns (feature, threshold) of the lowest weighted Gini cost; ties go
+    to the lower threshold, then the lower feature index.
+    """
+    n, d = idx.shape[0], x.shape[1]
+    if max_features is None or max_features >= d:
+        candidates = range(d)
+    else:
+        candidates = np.sort(rng.choice(d, size=max_features, replace=False))
+    best = None  # (cost, threshold, feature)
+    onehot = np.zeros((n, n_classes))
+    for f in candidates:
+        col = x[idx, f]
+        order = np.argsort(col, kind="stable")
+        xs = col[order]
+        boundaries = np.flatnonzero(xs[:-1] != xs[1:])
+        if boundaries.size == 0:
+            continue
+        onehot[:] = 0.0
+        onehot[np.arange(n), codes[idx[order]]] = 1.0
+        prefix = np.cumsum(onehot, axis=0)
+        total = prefix[-1]
+        nl = (boundaries + 1).astype(float)
+        nr = n - nl
+        left_counts = prefix[boundaries]
+        right_counts = total[None, :] - left_counts
+        gini_l = 1.0 - np.sum((left_counts / nl[:, None]) ** 2, axis=1)
+        gini_r = 1.0 - np.sum((right_counts / nr[:, None]) ** 2, axis=1)
+        cost = (nl * gini_l + nr * gini_r) / n
+        thresholds = 0.5 * (xs[boundaries] + xs[boundaries + 1])
+        j = np.lexsort((thresholds, cost))[0]
+        key = (cost[j], thresholds[j], int(f))
+        if best is None or key < best:
+            best = key
+    if best is None:
+        return None
+    return best[2], best[1]
+
+
+def knn_proba_per_row(train_x, train_codes, n_classes, k, weights, test_x):
+    """knn class probabilities scored one test row at a time."""
+    d2 = np.sum((test_x[:, None, :] - train_x[None, :, :]) ** 2, axis=2)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    probs = np.zeros((test_x.shape[0], n_classes))
+    for i in range(test_x.shape[0]):
+        idx = order[i]
+        if weights == "distance":
+            dist = np.sqrt(d2[i, idx])
+            exact = dist == 0
+            if exact.any():
+                np.add.at(probs[i], train_codes[idx[exact]], 1.0)
+            else:
+                np.add.at(probs[i], train_codes[idx], 1.0 / dist)
+        else:
+            np.add.at(probs[i], train_codes[idx], 1.0)
+        probs[i] /= probs[i].sum()
+    return probs

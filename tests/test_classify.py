@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracles
+from csibio import classify
 from csibio.classify import (
     ModelSpec,
     fit,
@@ -120,6 +122,20 @@ class TestKnn:
         idx = [scores.class_ids.index(t) for t in scores.true_labels]
         assert np.all(scores.rows[np.arange(scores.n_rows), idx] == 1.0)
 
+    @pytest.mark.parametrize("weights", ["uniform", "distance"])
+    @pytest.mark.parametrize("chunk_elements", [1 << 20, 50])
+    def test_chunked_votes_match_per_row_loop(self, monkeypatch, weights, chunk_elements):
+        # Rounded values and repeated training rows make exact matches and distance ties.
+        monkeypatch.setattr(classify, "_KNN_CHUNK_ELEMENTS", chunk_elements)
+        rng = np.random.default_rng(17)
+        train = np.round(rng.normal(size=(40, 3)), 1)
+        train[20:30] = train[:10]
+        codes = rng.integers(0, 5, size=40)
+        test = np.concatenate([train[::3], np.round(rng.normal(size=(25, 3)), 1)])
+        model = classify._Knn(train, codes, 5, 7, weights)
+        expected = oracles.knn_proba_per_row(train, codes, 5, 7, weights, test)
+        assert model.predict_proba(test).tobytes() == expected.tobytes()
+
 
 class TestGaussianNb:
     def test_uninformative_features_return_priors(self, rng):
@@ -170,6 +186,63 @@ class TestTreesAndForest:
         fm = _blobs(rng, n_per_class=50, separation=0.5)
         stump = fit(ModelSpec("decision_tree", {"max_depth": 1}), fm)
         assert stump.impl.feature.shape[0] <= 3  # root + two leaves
+
+
+def _tie_heavy_node(rng):
+    """A random split-search input: values on a 0.5 grid, some constant columns."""
+    n = int(rng.choice([2, 2, 3, 5, 12, 40, 120]))
+    d = int(rng.integers(1, 9))
+    n_classes = int(rng.integers(2, 21))
+    x = rng.integers(-4, 5, size=(n, d)) * 0.5
+    x[:, rng.random(d) < 0.25] = 1.5
+    codes = rng.integers(0, n_classes, size=n)
+    idx = rng.integers(0, n, size=n) if rng.random() < 0.5 else np.arange(n)
+    max_features = None if rng.random() < 0.25 else int(rng.integers(1, d + 1))
+    return x, codes, idx, n_classes, max_features
+
+
+def _split_bits(split):
+    return None if split is None else (split[0], np.float64(split[1]).tobytes())
+
+
+class TestSplitSearchOracle:
+    """The batched split search picks the per-feature search's split, bit for bit."""
+
+    def test_matches_per_feature_search_on_tie_heavy_nodes(self):
+        rng = np.random.default_rng(2005)
+        for case in range(300):
+            x, codes, idx, n_classes, max_features = _tie_heavy_node(rng)
+            seed = int(rng.integers(2**31))
+            ref_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = oracles.best_split_per_feature(x, codes, idx, n_classes, max_features,
+                                                      ref_rng)
+            got = classify._best_split(x, codes, idx, n_classes, max_features, new_rng)
+            assert _split_bits(got) == _split_bits(expected), case
+            assert new_rng.bit_generator.state == ref_rng.bit_generator.state, case
+
+    def test_all_constant_candidates_still_draw(self):
+        x = np.ones((6, 4))
+        a, b = np.random.default_rng(1), np.random.default_rng(1)
+        assert classify._best_split(x, np.arange(6) % 2, np.arange(6), 2, 2, a) is None
+        b.choice(4, size=2, replace=False)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("kind,hyperparams", [
+        ("decision_tree", {}),
+        ("random_forest", {"n_trees": 6}),
+        ("random_forest", {"n_trees": 3, "max_features": 1, "bootstrap": False}),
+    ])
+    def test_fits_save_the_per_feature_bytes(self, tmp_path, monkeypatch, kind, hyperparams):
+        rng = np.random.default_rng(11)
+        x = rng.integers(-3, 4, size=(120, 6)) * 0.5
+        x[:, 4] = 2.0
+        labels = tuple(f"s{c}" for c in rng.integers(0, 7, size=120))
+        fm = FeatureMatrix(tuple(f"f{i}" for i in range(6)), x, labels)
+        spec = ModelSpec(kind, hyperparams, seed=5)
+        save_model(fit(spec, fm), tmp_path / "batched.bin")
+        monkeypatch.setattr(classify, "_best_split", oracles.best_split_per_feature)
+        save_model(fit(spec, fm), tmp_path / "per_feature.bin")
+        assert (tmp_path / "batched.bin").read_bytes() == (tmp_path / "per_feature.bin").read_bytes()
 
 
 class TestMlp:

@@ -487,6 +487,25 @@ def test_dataset_manifest_mismatch_exits_1(dataset_dir, tmp_path, capsys):
     assert not (tmp_path / "f").exists()
 
 
+@pytest.mark.parametrize("manifest,needle", [
+    ([], "'records' list"),
+    ({}, "'records' list"),
+    ({"records": {"file": "0000_p0_00.csi"}}, "'records' list"),
+    ({"records": ["0000_p0_00.csi"]}, "record 0 must be an object"),
+    ({"records": [{"subject_id": "p0"}]}, "string 'file'"),
+    ({"records": [{"file": 7}]}, "string 'file'"),
+], ids=["array", "empty-object", "records-object", "entry-string", "no-file", "file-int"])
+def test_malformed_dataset_manifest_exits_1(tmp_path, capsys, manifest, needle):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["features", str(ds), "--out", str(tmp_path / "f")]) == 1
+    err = _one_json_error_line(capsys.readouterr().err)
+    assert err["error"] == "ManifestMismatch"
+    assert needle in err["detail"]
+    assert not (tmp_path / "f").exists()
+
+
 def test_manifest_missing_input_exits_1(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps([{"path": str(tmp_path / "absent.pcap")}]))

@@ -1,16 +1,19 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from csibio.errors import (
     BadMagic,
+    CorruptHeader,
     LengthMismatch,
     ManifestMismatch,
     NoCsiFrames,
     UnsupportedVersion,
 )
 from csibio.ingest import (
+    PORTABLE_MAGIC,
     PcapSource,
     decode_chanspec,
     parse_pcap,
@@ -156,6 +159,16 @@ class TestPortableFormat:
         data[8] = 99  # version field
         path.write_bytes(bytes(data))
         with pytest.raises(UnsupportedVersion):
+            read_portable(path)
+
+    @pytest.mark.parametrize("k,t,step", [(0, 3, 1.0), (1, 3, 1.0), (4, 1, 1.0),
+                                          (4, 3, 0.0), (4, 3, float("nan"))])
+    def test_degenerate_header_rejected(self, tmp_path, k, t, step):
+        # Shapes and grids write_portable refuses; K = 0 used to crash calibration.
+        header = struct.pack("<HBBIIIddH", 1, 0, 0, 0, k, t, 5.18e9, step, 1)
+        path = tmp_path / "m.csi"
+        path.write_bytes(PORTABLE_MAGIC + header + b"a" + b"\x00" * (16 * k * t))
+        with pytest.raises(CorruptHeader):
             read_portable(path)
 
     def test_deterministic_bytes(self, rng, tmp_path):

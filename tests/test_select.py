@@ -99,15 +99,23 @@ class TestMrmrRank:
         assert ranking[0].name == "y_copy"  # lexicographic tie-break vs dup
         assert ranking[1].name == "weak_signal"
 
-    def test_greedy_steps_match_bruteforce(self):
-        # Exhaustive re-derivation of every greedy pick on 3 features.
-        rng = np.random.default_rng(4)
+    @staticmethod
+    def _bruteforce_columns(seed):
+        rng = np.random.default_rng(seed)
         y = np.repeat([0, 1, 2], 40)
         cols = {
             "a": y + rng.normal(0, 0.3, 120),
             "b": rng.normal(0, 1, 120),
             "c": (y == 2).astype(float) + rng.normal(0, 0.4, 120),
         }
+        return cols, y
+
+    # On seed 3, MI(c; a) and MI(a; c) differ in the last bit, so the
+    # redundancies only match when each pair is taken as (candidate, selected).
+    @pytest.mark.parametrize("seed", [4, 3])
+    def test_greedy_steps_match_bruteforce(self, seed):
+        # Exhaustive re-derivation of every greedy pick on 3 features.
+        cols, y = self._bruteforce_columns(seed)
         fm = _feature_matrix(cols, y)
         cfg = MrmrConfig(k_select=3)
         ranking = mrmr_rank(fm, np.array(fm.labels), cfg)
@@ -116,7 +124,7 @@ class TestMrmrRank:
         relevance = {n: mutual_information(cols[n], labels, cfg) for n in cols}
         selected = []
         for step in range(3):
-            best_name, best_key = None, None
+            best_name, best_key, best_red = None, None, None
             for name in sorted(cols):
                 if name in selected:
                     continue
@@ -127,9 +135,17 @@ class TestMrmrRank:
                 )
                 key = (-(relevance[name] - red), name)
                 if best_key is None or key < best_key:
-                    best_key, best_name = key, name
+                    best_key, best_name, best_red = key, name, red
             assert ranking[step].name == best_name
+            assert ranking[step].relevance == relevance[best_name]
+            assert ranking[step].redundancy == best_red
+            assert ranking[step].score == relevance[best_name] - best_red
             selected.append(best_name)
+
+    def test_bruteforce_case_has_an_asymmetric_pair(self):
+        cols, _ = self._bruteforce_columns(3)
+        cfg = MrmrConfig(k_select=3)
+        assert feature_mi(cols["c"], cols["a"], cfg) != feature_mi(cols["a"], cols["c"], cfg)
 
     def test_k_select_one(self):
         y = np.repeat([0, 1], 30)
