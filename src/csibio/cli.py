@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__, harness, ingest, report, synth
 from .classify import ModelSpec
-from .errors import ConfigError, CsiBioError, PipelineError
+from .errors import ConfigError, CsiBioError
 from .model import Dataset, SubjectLabel, from_dict
 
 EXIT_OK = 0
@@ -172,7 +172,7 @@ def _cmd_features(args) -> int:
         )
         for i in range(ws.matrix.n_rows):
             w.writerow(
-                [ws.record_indices[i], ws.window_starts[i], ws.subjects[i],
+                [ws.record_indices[i], ws.window_starts[i], ws.matrix.labels[i],
                  ws.sample_indices[i],
                  *(f"{v:.17g}" for v in ws.matrix.values[i])]
             )
@@ -309,9 +309,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         return _fail(type(exc).__name__, str(exc), EXIT_USAGE)
-    except (PipelineError, FileNotFoundError, OSError, ValueError) as exc:
-        return _fail(type(exc).__name__, str(exc), EXIT_RUNTIME)
-    except CsiBioError as exc:
+    except (CsiBioError, OSError, ValueError) as exc:
         return _fail(type(exc).__name__, str(exc), EXIT_RUNTIME)
 
 

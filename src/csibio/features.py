@@ -21,14 +21,13 @@ Normalization conventions (fixed, tested against naive references):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FeatureGroupError, ZeroEnergyWindow, ZeroSpectrum
 
-EPSILON = 1e-12  # default degenerate-denominator floor
+EPSILON = 1e-12  # degenerate-denominator floor
 
 
 def _require(cond: bool, msg: str):
@@ -63,17 +62,15 @@ def _entropy_bits(p: np.ndarray) -> np.ndarray:
     return np.array([-np.sum(q * np.log2(q)) for q in nonzero])
 
 
-def _pop_skew_kurt(
-    x: np.ndarray, epsilon: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pop_skew_kurt(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row population skewness and excess kurtosis over the last axis.
 
-    Rows with sigma < epsilon yield (0, 0) and are marked degenerate.
+    Rows with sigma < EPSILON yield (0, 0) and are marked degenerate.
     """
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     sigma = np.sqrt(np.mean(centered**2, axis=-1))
-    degenerate = sigma < epsilon
+    degenerate = sigma < EPSILON
     safe = np.where(degenerate, 1.0, sigma)
     m3 = np.mean(centered**3, axis=-1)
     m4 = np.mean(centered**4, axis=-1)
@@ -123,11 +120,11 @@ def window_batch(values: np.ndarray, freqs: np.ndarray) -> WindowBatch:
 
 # Each group maps a WindowBatch to (feature name -> float[N], flag name -> bool[N]).
 
-def amplitude_features(b: WindowBatch, epsilon: float = EPSILON):
+def amplitude_features(b: WindowBatch):
     """Moments of |H|: grand mean, cross-subcarrier spread, skew, kurtosis."""
     _require(b.n_subcarriers >= 2 and b.n_samples >= 2, "need K >= 2 and T >= 2")
     amp_var_mean, amp_var_std = _mean_spread(_sample_var(b.amps))
-    skew, kurt, degenerate = _pop_skew_kurt(b.amps, epsilon)
+    skew, kurt, degenerate = _pop_skew_kurt(b.amps)
     values = {
         "amp_mean": b.spectrum.mean(axis=-1),
         "amp_mean_std": _sample_std(b.spectrum),
@@ -139,7 +136,7 @@ def amplitude_features(b: WindowBatch, epsilon: float = EPSILON):
     return values, {"amplitude:degenerate_moment": degenerate.any(axis=-1)}
 
 
-def phase_features(b: WindowBatch, epsilon: float = EPSILON):
+def phase_features(b: WindowBatch):
     """Phase level and texture: per-subcarrier stds and adjacent-difference stds."""
     _require(b.n_subcarriers >= 3 and b.n_samples >= 2, "need K >= 3 and T >= 2")
     phase_std_mean, phase_std_std = _mean_spread(_sample_std(b.phases))
@@ -154,13 +151,13 @@ def phase_features(b: WindowBatch, epsilon: float = EPSILON):
     return values, {}
 
 
-def energy_features(b: WindowBatch, epsilon: float = EPSILON):
+def energy_features(b: WindowBatch):
     """Distribution of E(f_k) over subcarriers: level, shape, entropy in bits."""
     _require(b.n_subcarriers >= 2, "need K >= 2")
     total = b.energies.sum(axis=-1)
     if (total <= 0).any():
         raise ZeroEnergyWindow(f"window {np.argmax(total <= 0)} has zero total energy")
-    skew, kurt, degenerate = _pop_skew_kurt(b.energies, epsilon)
+    skew, kurt, degenerate = _pop_skew_kurt(b.energies)
     values = {
         "energy_mean": b.energies.mean(axis=-1),
         "energy_skewness": skew,
@@ -170,19 +167,19 @@ def energy_features(b: WindowBatch, epsilon: float = EPSILON):
     return values, {"energy:degenerate_moment": degenerate}
 
 
-def spectral_features(b: WindowBatch, epsilon: float = EPSILON):
+def spectral_features(b: WindowBatch):
     """Shape of the time-averaged magnitude: centroids, entropy, flatness, width.
 
     spec_centroid weights physical frequencies (Hz); spectral_centroid_amp
     and spectral_width weight the 1-based subcarrier index. Flatness is
-    the geometric/arithmetic mean ratio with bins floored at epsilon.
+    the geometric/arithmetic mean ratio with bins floored at EPSILON.
     """
     _require(b.n_subcarriers >= 2, "need K >= 2")
     spectrum = b.spectrum
     total = spectrum.sum(axis=-1)
     if (total <= 0).any():
         raise ZeroSpectrum(f"window {np.argmax(total <= 0)} has a zero mean magnitude spectrum")
-    floored = np.maximum(spectrum, epsilon)
+    floored = np.maximum(spectrum, EPSILON)
     k = np.arange(1, b.n_subcarriers + 1, dtype=np.float64)
     centroid_amp = np.sum(k * spectrum, axis=-1) / total
     values = {
@@ -197,7 +194,7 @@ def spectral_features(b: WindowBatch, epsilon: float = EPSILON):
     return values, {}
 
 
-def empirical_energy_features(b: WindowBatch, epsilon: float = EPSILON):
+def empirical_energy_features(b: WindowBatch):
     """Reflected/absorbed/refracted energy split, normalized to sum to 1.
 
     Reflected pools subcarriers with energy >= the mean, absorbed those
@@ -230,12 +227,12 @@ def empirical_energy_features(b: WindowBatch, epsilon: float = EPSILON):
     return values, {"empirical_energy:degenerate_split": degenerate}
 
 
-def temporal_features(b: WindowBatch, epsilon: float = EPSILON):
+def temporal_features(b: WindowBatch):
     """Amplitude fluctuation over time: mean/spread of per-subcarrier stds."""
     _require(b.n_subcarriers >= 2 and b.n_samples >= 2, "need K >= 2 and T >= 2")
     v_mean, v_std = _mean_spread(_sample_std(b.amps))
     grand_mean = b.amps.mean(axis=(-2, -1))
-    moving = grand_mean > epsilon
+    moving = grand_mean > EPSILON
     values = {
         "temporal_variability_mean": v_mean,
         "temporal_variability_std": v_std,
@@ -246,18 +243,18 @@ def temporal_features(b: WindowBatch, epsilon: float = EPSILON):
     return values, {"temporal:zero_mean_amplitude": ~moving}
 
 
-def stability_features(b: WindowBatch, epsilon: float = EPSILON):
+def stability_features(b: WindowBatch):
     """Per-subcarrier coefficient of variation of |H|, aggregated over k."""
     _require(b.n_subcarriers >= 2 and b.n_samples >= 2, "need K >= 2 and T >= 2")
     mean_k = b.spectrum
-    degenerate = mean_k <= epsilon
+    degenerate = mean_k <= EPSILON
     cv = np.where(degenerate, 0.0, _sample_std(b.amps) / np.where(degenerate, 1.0, mean_k))
     cv_mean, cv_std = _mean_spread(cv)
     values = {"stability_mean_cv": cv_mean, "stability_std_cv": cv_std}
     return values, {"stability:zero_mean_subcarrier": degenerate.any(axis=-1)}
 
 
-def correlation_features(b: WindowBatch, epsilon: float = EPSILON):
+def correlation_features(b: WindowBatch):
     """Pearson correlation between adjacent subcarriers' amplitude series."""
     _require(b.n_subcarriers >= 3, "need K >= 3")
     _require(b.n_samples >= 3, "need T >= 3")
@@ -265,21 +262,21 @@ def correlation_features(b: WindowBatch, epsilon: float = EPSILON):
     var = np.mean(centered**2, axis=-1)
     cov = np.mean(centered[:, :-1] * centered[:, 1:], axis=-1)
     denom = np.sqrt(var[:, :-1] * var[:, 1:])
-    degenerate = denom < epsilon
+    degenerate = denom < EPSILON
     rho = np.where(degenerate, 0.0, cov / np.where(degenerate, 1.0, denom))
     rho_mean, rho_std = _mean_spread(rho)
     values = {"adjacent_correlation_mean": rho_mean, "adjacent_correlation_std": rho_std}
     return values, {"correlation:zero_variance_pair": degenerate.any(axis=-1)}
 
 
-def roughness_features(b: WindowBatch, epsilon: float = EPSILON):
+def roughness_features(b: WindowBatch):
     """First-order absolute differences of the time-averaged magnitude."""
     _require(b.n_subcarriers >= 3, "need K >= 3")
     r_mean, r_std = _mean_spread(np.abs(np.diff(b.spectrum, axis=-1)))
     return {"spectral_roughness_mean": r_mean, "spectral_roughness_std": r_std}, {}
 
 
-def curvature_features(b: WindowBatch, epsilon: float = EPSILON):
+def curvature_features(b: WindowBatch):
     """Second-order absolute differences of the time-averaged magnitude."""
     _require(b.n_subcarriers >= 4, "need K >= 4")
     c_mean, c_std = _mean_spread(np.abs(np.diff(b.spectrum, n=2, axis=-1)))
@@ -319,39 +316,19 @@ GROUPS = {
 ALL_GROUPS = tuple(GROUPS)
 
 
-@dataclass(frozen=True)
-class FeatureSetConfig:
-    """Which groups to compute and the degenerate-denominator floor."""
-
-    enabled_groups: frozenset[str] = frozenset(ALL_GROUPS)
-    epsilon: float = EPSILON
-
-    def __post_init__(self):
-        object.__setattr__(self, "enabled_groups", frozenset(self.enabled_groups))
-        unknown = self.enabled_groups - set(ALL_GROUPS)
-        if unknown:
-            raise ValueError(f"unknown feature groups: {sorted(unknown)}")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-
-
-DEFAULT_CONFIG = FeatureSetConfig()
-
-
-def feature_names(cfg: FeatureSetConfig = DEFAULT_CONFIG) -> tuple[str, ...]:
-    """The deterministic output order of extract_all for this config."""
-    out: list[str] = []
-    for group, (_, names) in GROUPS.items():
-        if group in cfg.enabled_groups:
-            out.extend(names)
-    return tuple(out)
+def feature_names(groups=ALL_GROUPS) -> tuple[str, ...]:
+    """The deterministic output order of extract_all for the feature ``groups``."""
+    unknown = set(groups) - set(ALL_GROUPS)
+    if unknown:
+        raise ValueError(f"unknown feature groups: {sorted(unknown)}")
+    return tuple(name for group, (_, names) in GROUPS.items() if group in groups for name in names)
 
 
 def extract_all(
-    values: np.ndarray, freqs: np.ndarray, cfg: FeatureSetConfig = DEFAULT_CONFIG
+    values: np.ndarray, freqs: np.ndarray, groups=ALL_GROUPS
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Feature rows ``[N, F]`` of the windows ``values[N, K, W]``, one column per
-    ``feature_names(cfg)`` entry, and every enabled group's flags (name -> bool[N]).
+    ``feature_names(groups)`` entry, and every enabled group's flags (name -> bool[N]).
 
     Group failures are re-raised as FeatureGroupError naming the group; a
     non-finite feature value raises ValueError naming the feature.
@@ -360,10 +337,10 @@ def extract_all(
     columns: list[np.ndarray] = []
     flags: dict[str, np.ndarray] = {}
     for group, (fn, _) in GROUPS.items():
-        if group not in cfg.enabled_groups:
+        if group not in groups:
             continue
         try:
-            group_values, group_flags = fn(b, cfg.epsilon)
+            group_values, group_flags = fn(b)
         except (ValueError, ZeroEnergyWindow, ZeroSpectrum) as exc:
             raise FeatureGroupError(group, exc) from exc
         columns.extend(group_values.values())
@@ -372,6 +349,6 @@ def extract_all(
     bad = np.argwhere(~np.isfinite(rows))
     if bad.size:
         window, column = bad[0]
-        name = feature_names(cfg)[column]
+        name = feature_names(groups)[column]
         raise ValueError(f"non-finite feature value: {name} (window {window})")
     return rows, flags

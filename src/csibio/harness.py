@@ -87,16 +87,17 @@ class ProtocolConfig:
             raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
         if self.hand_filter not in HAND_FILTERS:
             raise ValueError(f"hand_filter must be one of {HAND_FILTERS}")
+        if self.fcs_bins < 1:
+            raise ValueError("fcs_bins must be >= 1")
+        if self.bioquake_resamples < 2:
+            raise ValueError("bioquake_resamples must be >= 2")
         object.__setattr__(self, "feature_groups", frozenset(self.feature_groups))
         self.mrmr_config()  # checks selection_k, mi_bins and binning
-        self.feature_config()  # checks the feature groups
+        features.feature_names(self.feature_groups)  # checks the feature groups
 
     @property
     def stride(self) -> int:
         return self.window_stride if self.window_stride is not None else self.window_size
-
-    def feature_config(self) -> features.FeatureSetConfig:
-        return features.FeatureSetConfig(enabled_groups=self.feature_groups)
 
     def mrmr_config(self) -> select.MrmrConfig:
         return select.MrmrConfig(self.selection_k, self.mi_bins, self.binning)
@@ -166,7 +167,6 @@ class WindowSet:
     """Feature matrix for all windows plus per-window provenance."""
 
     matrix: FeatureMatrix
-    subjects: tuple[str, ...]
     sample_indices: tuple[int, ...]
     record_indices: tuple[int, ...]
     window_starts: tuple[int, ...]
@@ -184,17 +184,16 @@ def prepare_windows(dataset: Dataset, cfg: ProtocolConfig) -> WindowSet:
     dataset = _apply_hand_filter(dataset, cfg.hand_filter)
     if len(dataset) == 0:
         raise InsufficientData("no records left after the hand filter")
-    feature_cfg = cfg.feature_config()
     processed = Dataset(
         tuple((preprocess_record(m, cfg.preprocess), lab) for m, lab in dataset)
     )
     records = window_dataset(processed, cfg)
-    rows = [features.extract_all(r.values, r.freqs, feature_cfg)[0] for r in records]
+    rows = [features.extract_all(r.values, r.freqs, cfg.feature_groups)[0] for r in records]
     windows = [(r, start) for r in records for start in r.starts]
     subjects = tuple(r.label.subject_id for r, _ in windows)
+    names = features.feature_names(cfg.feature_groups)
     return WindowSet(
-        matrix=FeatureMatrix(features.feature_names(feature_cfg), np.vstack(rows), subjects),
-        subjects=subjects,
+        matrix=FeatureMatrix(names, np.vstack(rows), subjects),
         sample_indices=tuple(r.label.sample_index for r, _ in windows),
         record_indices=tuple(r.record_index for r, _ in windows),
         window_starts=tuple(start for _, start in windows),
@@ -225,7 +224,7 @@ def stratified_kfold(labels, folds: int, seed: int) -> list[np.ndarray]:
 def make_folds(ws: WindowSet, cfg: ProtocolConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     """(train_idx, test_idx) pairs; a true partition of all windows."""
     n = ws.matrix.n_rows
-    if len(set(ws.subjects)) < 2:
+    if len(set(ws.matrix.labels)) < 2:
         raise InsufficientData("need at least two subjects")
     if cfg.split_mode == "per_acquisition_holdout":
         sample_ids = sorted(set(ws.sample_indices))
@@ -236,11 +235,11 @@ def make_folds(ws: WindowSet, cfg: ProtocolConfig) -> list[tuple[np.ndarray, np.
     else:
         if n < cfg.folds:
             raise InsufficientData(f"{n} windows cannot fill {cfg.folds} folds")
-        test_sets = stratified_kfold(ws.subjects, cfg.folds, cfg.seed)
+        test_sets = stratified_kfold(ws.matrix.labels, cfg.folds, cfg.seed)
     all_idx = np.arange(n)
     folds = []
-    subjects = np.asarray(ws.subjects)
-    all_subjects = set(ws.subjects)
+    subjects = np.asarray(ws.matrix.labels)
+    all_subjects = set(ws.matrix.labels)
     for fold_id, test_idx in enumerate(test_sets):
         train_idx = np.setdiff1d(all_idx, test_idx)
         if set(subjects[train_idx]) != all_subjects:
@@ -490,7 +489,7 @@ def attack_report(dataset: Dataset, cfg: ProtocolConfig, model: ModelSpec,
     scores = trained.predict_proba(_scaled_rows(attack_ws.matrix, scaler, selected=selected))
     victim_scores = scores.column(victim)
     self_scores = trained.predict_proba(train).column(victim)
-    victim_rows = np.array([s == victim for s in genuine_ws.subjects])
+    victim_rows = np.array([s == victim for s in genuine_ws.matrix.labels])
     return AttackReport(
         victim=victim,
         attack_kind=attack_kind,

@@ -2,7 +2,7 @@
 
 The pcap path walks Ethernet/IPv4/UDP frames, filters on destination
 port, and decodes CSI payloads with this frame layout (the de-facto
-community layout for bcm43455c0 extractors, override via FrameLayout):
+community layout for bcm43455c0 extractors):
 
     2B magic 0x1111 | 1B RSSI | 1B frame ctl | 6B source MAC |
     2B sequence | 2B core/spatial | 2B chanspec | 2B chip version |
@@ -31,21 +31,9 @@ from .model import CsiMatrix, Dataset, Hand, SubjectLabel, validate_matrix
 DEFAULT_CENTER_HZ = 5.18e9
 DEFAULT_BANDWIDTH_HZ = 40e6
 
-
-@dataclass(frozen=True)
-class FrameLayout:
-    """Byte layout of one CSI payload inside a UDP datagram."""
-
-    magic: bytes = b"\x11\x11"
-    rssi_offset: int = 2
-    seq_offset: int = 10
-    core_offset: int = 12
-    chanspec_offset: int = 14
-    chip_offset: int = 16
-    header_len: int = 18
-
-
-NEXMON_BCM43455C0 = FrameLayout()
+CSI_MAGIC = b"\x11\x11"  # the fields of one CSI payload read by parse_pcap
+CSI_CHANSPEC_OFFSET = 14
+CSI_HEADER_LEN = 18
 
 
 @dataclass(frozen=True)
@@ -126,7 +114,7 @@ def _iter_udp_payloads(data: bytes, port: int):
         yield udp[8 : max(8, udp_len)]
 
 
-def parse_pcap(src: PcapSource, layout: FrameLayout = NEXMON_BCM43455C0) -> CsiMatrix:
+def parse_pcap(src: PcapSource) -> CsiMatrix:
     """Decode every accepted CSI frame of a capture into a K x T matrix.
 
     Frames are accepted in capture order. Payloads with a wrong magic,
@@ -150,21 +138,19 @@ def parse_pcap(src: PcapSource, layout: FrameLayout = NEXMON_BCM43455C0) -> CsiM
         raise BadMagic(f"{path}: {exc}") from exc
 
     for payload in payloads:
-        if len(payload) < len(layout.magic) or not payload.startswith(layout.magic):
+        if not payload.startswith(CSI_MAGIC):
             non_csi += 1
             continue
-        if len(payload) < layout.header_len:
+        if len(payload) < CSI_HEADER_LEN:
             truncated += 1
             continue
-        data_len = len(payload) - layout.header_len
+        data_len = len(payload) - CSI_HEADER_LEN
         if data_len == expected_bytes:
-            raw = np.frombuffer(payload, dtype="<i2", offset=layout.header_len)
+            raw = np.frombuffer(payload, dtype="<i2", offset=CSI_HEADER_LEN)
             pairs = raw.astype(np.float64).reshape(-1, 2)
             columns.append(pairs[:, 0] + 1j * pairs[:, 1])
             if chanspec is None:
-                chanspec = struct.unpack_from(
-                    "<H", payload, layout.chanspec_offset
-                )[0]
+                chanspec = struct.unpack_from("<H", payload, CSI_CHANSPEC_OFFSET)[0]
         elif data_len % 4 == 0 and data_len > 0:
             wrong_k += 1
         else:
@@ -246,13 +232,19 @@ def read_portable(path) -> tuple[CsiMatrix, SubjectLabel]:
     if version != PORTABLE_VERSION:
         raise UnsupportedVersion(f"{path}: version {version} > {PORTABLE_VERSION}")
     offset += _HEADER_STRUCT.size
-    subject = data[offset : offset + id_len].decode()
+    subject = data[offset : offset + id_len]
     offset += id_len
     expected = k * t * 16
     if len(data) - offset != expected:
         raise LengthMismatch(
             f"{path}: payload is {len(data) - offset} bytes, header promises {expected}"
         )
+    try:
+        subject = subject.decode()
+    except UnicodeDecodeError as exc:
+        raise CorruptHeader(f"{path}: subject id is not UTF-8") from exc
+    if not subject:
+        raise CorruptHeader(f"{path}: subject id is empty")
     values = np.frombuffer(data, dtype="<c16", offset=offset).reshape(k, t)
     matrix = CsiMatrix(values=values, freqs=f0 + df * np.arange(k), meta={"source": str(path)})
     problems = validate_matrix(matrix, allow_nan=True)  # the shape and grid write_portable checks

@@ -189,12 +189,6 @@ def eer_per_class(scores: ScoreMatrix, class_id: str) -> EerResult:
     return eer_from_scores(genuine, impostor, class_id)
 
 
-def pooled_eer(scores: ScoreMatrix) -> EerResult:
-    """EER over all classes' genuine/impostor scores pooled together."""
-    pools = fcs(scores)
-    return eer_from_scores(pools.genuine_scores, pools.impostor_scores, "__pooled__")
-
-
 # --- frequency count of scores ----------------------------------------------
 
 @dataclass(frozen=True)
@@ -204,10 +198,6 @@ class FcsData:
     bin_edges: np.ndarray
     genuine_counts: np.ndarray
     impostor_counts: np.ndarray
-
-    @property
-    def separation_gap(self) -> float:
-        return float(self.genuine_scores.min() - self.impostor_scores.max())
 
 
 def fcs(scores: ScoreMatrix, bins: int = 50) -> FcsData:
@@ -346,7 +336,6 @@ class SecurityReport:
     auc_macro: float
     eer_results: tuple[EerResult, ...]
     eer_mean: float
-    pooled: EerResult
     fcs_data: FcsData
     gini_data: GiniReport
     bioquake_data: BioQuake
@@ -369,7 +358,7 @@ class SecurityReport:
                 for e in self.eer_results
             ],
             "eer_mean": self.eer_mean,
-            "eer_pooled": self.pooled.eer,
+            "eer_pooled": self.bioquake_data.eer,
             "gini": {
                 "gc_far": self.gini_data.gc_far,
                 "gc_frr": self.gini_data.gc_frr,
@@ -394,9 +383,6 @@ def build_security_report(model_name: str, scores: ScoreMatrix,
     auc_per_class, auc_macro = roc_auc_ovr(scores)
     eer_results = tuple(eer_per_class(scores, c) for c in scores.class_ids)
     fcs_data = fcs(scores, bins=fcs_bins)
-    pooled = eer_from_scores(
-        fcs_data.genuine_scores, fcs_data.impostor_scores, "__pooled__"
-    )
     gini_data = gini_report(scores, {e.class_id: e for e in eer_results})
     bq = bioquake_from_scores(
         fcs_data.genuine_scores, fcs_data.impostor_scores, resamples=resamples, seed=seed
@@ -408,7 +394,6 @@ def build_security_report(model_name: str, scores: ScoreMatrix,
         auc_macro=auc_macro,
         eer_results=eer_results,
         eer_mean=float(np.mean([e.eer for e in eer_results])),
-        pooled=pooled,
         fcs_data=fcs_data,
         gini_data=gini_data,
         bioquake_data=bq,

@@ -139,12 +139,6 @@ class Dataset:
             seen.setdefault(label.subject_id, None)
         return list(seen)
 
-    def counts_per_subject(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for _, label in self.records:
-            counts[label.subject_id] = counts.get(label.subject_id, 0) + 1
-        return counts
-
     def filter(self, keep) -> "Dataset":
         return Dataset(tuple(r for r in self.records if keep(r[1])))
 

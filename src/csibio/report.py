@@ -34,7 +34,7 @@ def _metrics_summary(result: RunResult):
         a = r.aggregate
         yield [name, _fmt(a["accuracy"]), _fmt(a["macro_precision"]),
                _fmt(a["macro_specificity"]), _fmt(a["macro_recall"]),
-               _fmt(a["macro_f1"]), _fmt(r.auc_macro), _fmt(r.pooled.eer),
+               _fmt(a["macro_f1"]), _fmt(r.auc_macro), _fmt(r.bioquake_data.eer),
                _fmt(r.eer_mean)]
 
 
@@ -100,8 +100,11 @@ _TABLES = {
 }
 
 
-def write_run_result(path, result: RunResult, include_timestamp: bool = True) -> None:
-    """Full JSON result; ``generated_at`` is excluded from the digest."""
+def write_run_result(path, result: RunResult) -> None:
+    """Full JSON result; ``generated_at`` is excluded from the digest.
+
+    A NaN or infinite value raises ValueError instead of writing invalid JSON.
+    """
     audit = result.leakage_audit
     payload = {
         "tool": f"csibio {__version__}",
@@ -110,10 +113,9 @@ def write_run_result(path, result: RunResult, include_timestamp: bool = True) ->
         "result_digest": result.digest(),
         **result.payload(),
         "leakage_audit": None if audit is None else asdict(audit),
+        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    if include_timestamp:
-        payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_all(out_dir, result: RunResult) -> list[str]:

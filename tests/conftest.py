@@ -43,10 +43,10 @@ class FeatureRow(dict):
         return dict(self)
 
 
-def extract_window(m, cfg=None):
+def extract_window(m, groups=None):
     """``features.extract_all`` of the single window ``m`` (a batch of one)."""
     from csibio import features
 
-    cfg = cfg or features.DEFAULT_CONFIG
-    rows, _ = features.extract_all(m.values[None], m.freqs, cfg)
-    return FeatureRow(zip(features.feature_names(cfg), rows[0]))
+    groups = groups or features.ALL_GROUPS
+    rows, _ = features.extract_all(m.values[None], m.freqs, groups)
+    return FeatureRow(zip(features.feature_names(groups), rows[0]))

@@ -205,6 +205,24 @@ class TestEvaluateCommand:
         assert result["leakage_audit"]["flagged"] is False
         assert "generated_at" in result
 
+    def test_nan_result_exits_1_without_json(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        from dataclasses import replace
+
+        from csibio import harness
+
+        real_run_cv = harness.run_cv
+
+        def run_cv_with_nan(*args, **kwargs):
+            return replace(real_run_cv(*args, **kwargs), fold_accuracies={"knn": (float("nan"),)})
+
+        monkeypatch.setattr(harness, "run_cv", run_cv_with_nan)
+        cfg = _protocol_file(tmp_path, audit=False)
+        out = tmp_path / "rep"
+        assert main(["evaluate", str(dataset_dir), "--config", str(cfg), "--out", str(out)]) == 1
+        err = _one_json_error_line(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert not (out / "run_result.json").exists()
+
     def test_missing_dataset_exits_1(self, tmp_path):
         cfg = _protocol_file(tmp_path)
         code = main(
@@ -294,6 +312,10 @@ class TestConfigErrors:
         ({"feature_groups": ["amplitude", "nope"]}, "unknown feature groups"),
         ({"preprocess": {"mad_window": 8}}, "mad_window"),
         ({"preprocess": {"mad_window": 1}}, "mad_window"),
+        ({"bioquake_resamples": 0}, "bioquake_resamples"),
+        ({"bioquake_resamples": 1}, "bioquake_resamples"),
+        ({"fcs_bins": 0}, "fcs_bins"),
+        ({"fcs_bins": -3}, "fcs_bins"),
     ])
     def test_bad_protocol_value_exits_2(self, tmp_path, capsys, command, protocol, needle):
         cfg = _protocol_file(tmp_path, protocol=protocol)

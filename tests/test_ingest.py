@@ -171,6 +171,15 @@ class TestPortableFormat:
         with pytest.raises(CorruptHeader):
             read_portable(path)
 
+    @pytest.mark.parametrize("subject, reason", [(b"\xff\xfe", "not UTF-8"), (b"", "empty")])
+    def test_bad_subject_id_names_file(self, tmp_path, subject, reason):
+        k, t = 4, 3
+        header = struct.pack("<HBBIIIddH", 1, 0, 0, 0, k, t, 5.18e9, 1e6, len(subject))
+        path = tmp_path / "m.csi"
+        path.write_bytes(PORTABLE_MAGIC + header + subject + b"\x00" * (16 * k * t))
+        with pytest.raises(CorruptHeader, match=f"^{path}: subject id is {reason}$"):
+            read_portable(path)
+
     def test_deterministic_bytes(self, rng, tmp_path):
         m = self._sample(rng)
         write_portable(m, SubjectLabel("a", 1), tmp_path / "a.csi")

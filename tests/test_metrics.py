@@ -12,7 +12,6 @@ from csibio.metrics import (
     fcs,
     gini,
     gini_report,
-    pooled_eer,
     roc_auc_ovr,
 )
 from csibio.model import ScoreMatrix
@@ -208,7 +207,6 @@ class TestFcs:
         data = fcs(s)
         assert np.all(data.genuine_scores == 1.0)
         assert np.all(data.impostor_scores == 0.0)
-        assert data.separation_gap == 1.0
 
     def test_uniform_probabilities(self):
         rows = np.full((4, 4), 0.25)
@@ -329,4 +327,17 @@ class TestSecurityReport:
         assert d["gini"]["gc_mean"] == pytest.approx(
             (d["gini"]["gc_far"] + d["gini"]["gc_frr"]) / 2, abs=1e-12
         )
-        assert d["eer_pooled"] == pytest.approx(pooled_eer(s).eer, abs=1e-15)
+
+    def test_eer_pooled_is_the_fcs_pool_eer(self, rng):
+        """eer_pooled and BioQuake's point estimate are one EER of the FCS pools."""
+        n, c = 60, 3
+        true_idx = rng.integers(0, c, n)
+        rows = rng.uniform(0.0, 1.0, (n, c))
+        rows[np.arange(n), true_idx] += 0.4
+        rows /= rows.sum(axis=1, keepdims=True)
+        s = _scores(rows, [f"s{i}" for i in true_idx], class_ids=("s0", "s1", "s2"))
+        d = build_security_report("demo", s, resamples=20, seed=1).to_dict()
+        pools = fcs(s)
+        pooled = eer_from_scores(pools.genuine_scores, pools.impostor_scores).eer
+        assert 0.0 < pooled < 0.5
+        assert d["eer_pooled"] == d["bioquake"]["eer"] == pooled

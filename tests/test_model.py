@@ -74,7 +74,6 @@ class TestDataset:
             )
         )
         assert d.subject_ids() == ["a", "b"]
-        assert d.counts_per_subject() == {"a": 2, "b": 1}
 
     def test_digest_sensitive_to_values(self, rng):
         m1 = random_matrix(rng)
