@@ -128,17 +128,3 @@ def mad_temporal_repair(m: CsiMatrix, window: int = 9) -> tuple[CsiMatrix, MadRe
         untouched_subcarriers=tuple(int(k) for k in untouched),
     )
     return m.with_values(values), report
-
-
-def zscore_spectrum(m: CsiMatrix) -> np.ndarray:
-    """Amplitude z-scores per subcarrier over time; zero-variance rows map to 0.
-
-    Diagnostic view of filtering quality: clean captures stay roughly in
-    [-1, 3] while spikes stand out as large |z|.
-    """
-    amps = m.amplitude()
-    mean = amps.mean(axis=1, keepdims=True)
-    std = amps.std(axis=1, keepdims=True)
-    safe = np.where(std > 0, std, 1.0)
-    z = (amps - mean) / safe
-    return np.where(std > 0, z, 0.0)

@@ -15,7 +15,7 @@ Conventions fixed across the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,8 +34,7 @@ def aggregate_metrics(scores: ScoreMatrix) -> dict[str, float]:
     if len(scores.class_ids) < 2:
         raise DegenerateClass("need at least two classes")
     classes = scores.class_ids
-    idx = {c: i for i, c in enumerate(classes)}
-    true = np.array([idx[c] for c in scores.true_labels])
+    true = _true_codes(scores)
     pred = np.argmax(scores.rows, axis=1)
     n = true.shape[0]
     c = len(classes)
@@ -70,11 +69,25 @@ def aggregate_metrics(scores: ScoreMatrix) -> dict[str, float]:
 
 # --- genuine / impostor decomposition ---------------------------------------
 
-def class_scores(scores: ScoreMatrix, class_id: str) -> tuple[np.ndarray, np.ndarray]:
-    """(genuine, impostor) one-vs-rest scores for one class."""
-    col = scores.column(class_id)
-    is_genuine = np.array([t == class_id for t in scores.true_labels])
-    return col[is_genuine], col[~is_genuine]
+def _true_codes(scores: ScoreMatrix) -> np.ndarray:
+    """Column index of each row's true class."""
+    idx = {c: i for i, c in enumerate(scores.class_ids)}
+    return np.array([idx[t] for t in scores.true_labels], dtype=np.intp)
+
+
+def class_pools(scores: ScoreMatrix) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each class's (genuine, impostor) scores of its own column, in row order.
+
+    The one split that AUC, EER and the Gini counts all read.
+    """
+    true = _true_codes(scores)
+    pools = {}
+    for j, class_id in enumerate(scores.class_ids):
+        is_genuine = true == j
+        if is_genuine.all() or not is_genuine.any():
+            raise DegenerateClass(f"class {class_id!r} lacks genuine or impostor scores")
+        pools[class_id] = (scores.rows[is_genuine, j], scores.rows[~is_genuine, j])
+    return pools
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -94,17 +107,6 @@ def auc_from_scores(genuine: np.ndarray, impostor: np.ndarray) -> float:
     return float(u / (n_g * n_i))
 
 
-def roc_auc_ovr(scores: ScoreMatrix) -> tuple[dict[str, float], float]:
-    """Per-class one-vs-rest AUC and its macro average."""
-    per_class = {}
-    for class_id in scores.class_ids:
-        genuine, impostor = class_scores(scores, class_id)
-        if genuine.size == 0 or impostor.size == 0:
-            raise DegenerateClass(f"class {class_id!r} lacks genuine or impostor scores")
-        per_class[class_id] = auc_from_scores(genuine, impostor)
-    return per_class, float(np.mean(list(per_class.values())))
-
-
 # --- equal error rate --------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -112,8 +114,8 @@ class EerResult:
     class_id: str
     eer: float
     threshold: float
-    far_at_threshold: float
-    frr_at_threshold: float
+    far: float
+    frr: float
     interpolated: bool = False
 
 
@@ -183,12 +185,6 @@ def eer_from_scores(genuine: np.ndarray, impostor: np.ndarray,
     return EerResult(class_id, float(eer), threshold, f, r, interpolated=True)
 
 
-def eer_per_class(scores: ScoreMatrix, class_id: str) -> EerResult:
-    """EER of one class's one-vs-rest score column."""
-    genuine, impostor = class_scores(scores, class_id)
-    return eer_from_scores(genuine, impostor, class_id)
-
-
 # --- frequency count of scores ----------------------------------------------
 
 @dataclass(frozen=True)
@@ -205,8 +201,7 @@ def fcs(scores: ScoreMatrix, bins: int = 50) -> FcsData:
 
     Returns the raw score lists plus aligned histograms over [0, 1].
     """
-    idx = {c: i for i, c in enumerate(scores.class_ids)}
-    true_idx = np.array([idx[t] for t in scores.true_labels])
+    true_idx = _true_codes(scores)
     rows = np.arange(scores.n_rows)
     genuine = scores.rows[rows, true_idx]
     mask = np.ones_like(scores.rows, dtype=bool)
@@ -248,27 +243,26 @@ class GiniReport:
     flags: tuple[str, ...] = ()
 
 
-def gini_report(scores: ScoreMatrix, eer_results: dict[str, EerResult]) -> GiniReport:
+def gini_report(pools: dict, eer_results: tuple[EerResult, ...]) -> GiniReport:
     """Inequality of per-user error counts at each class's own EER threshold.
 
+    Counts come from ``class_pools``, so they are the results' own FAR/FRR.
     False acceptances are counted against the victim class whose
     threshold admitted the impostor score; false rejections against the
     genuine class itself.
     """
-    classes = scores.class_ids
     fa = {}
     fr = {}
     total_imp = 0
     total_gen = 0
-    for class_id in classes:
-        thr = eer_results[class_id].threshold
-        genuine, impostor = class_scores(scores, class_id)
-        fa[class_id] = int(np.sum(impostor >= thr))
-        fr[class_id] = int(np.sum(genuine < thr))
+    for e in eer_results:
+        genuine, impostor = pools[e.class_id]
+        fa[e.class_id] = int(np.sum(impostor >= e.threshold))
+        fr[e.class_id] = int(np.sum(genuine < e.threshold))
         total_imp += impostor.size
         total_gen += genuine.size
-    fa_vec = np.array([fa[c] for c in classes], dtype=np.float64)
-    fr_vec = np.array([fr[c] for c in classes], dtype=np.float64)
+    fa_vec = np.array(list(fa.values()), dtype=np.float64)
+    fr_vec = np.array(list(fr.values()), dtype=np.float64)
     flags = []
     if fa_vec.sum() == 0:
         flags.append("gini:no_false_acceptances")
@@ -346,17 +340,7 @@ class SecurityReport:
             "aggregate": self.aggregate,
             "auc_per_class": self.auc_per_class,
             "auc_macro": self.auc_macro,
-            "eer_per_class": [
-                {
-                    "class_id": e.class_id,
-                    "eer": e.eer,
-                    "threshold": e.threshold,
-                    "far": e.far_at_threshold,
-                    "frr": e.frr_at_threshold,
-                    "interpolated": e.interpolated,
-                }
-                for e in self.eer_results
-            ],
+            "eer_per_class": [asdict(e) for e in self.eer_results],
             "eer_mean": self.eer_mean,
             "eer_pooled": self.bioquake_data.eer,
             "gini": {
@@ -367,11 +351,7 @@ class SecurityReport:
                 "frr_rate": self.gini_data.frr_rate,
                 "flags": list(self.gini_data.flags),
             },
-            "bioquake": {
-                "eer": self.bioquake_data.eer,
-                "uncertainty": self.bioquake_data.uncertainty,
-                "ci_width": self.bioquake_data.ci_width,
-            },
+            "bioquake": asdict(self.bioquake_data),
         }
 
 
@@ -380,10 +360,11 @@ def build_security_report(model_name: str, scores: ScoreMatrix,
                           seed: int = 0) -> SecurityReport:
     """Compute the full metric battery for one model's pooled CV scores."""
     aggregate = aggregate_metrics(scores)
-    auc_per_class, auc_macro = roc_auc_ovr(scores)
-    eer_results = tuple(eer_per_class(scores, c) for c in scores.class_ids)
+    pools = class_pools(scores)
+    auc_per_class = {c: auc_from_scores(g, i) for c, (g, i) in pools.items()}
+    eer_results = tuple(eer_from_scores(g, i, c) for c, (g, i) in pools.items())
     fcs_data = fcs(scores, bins=fcs_bins)
-    gini_data = gini_report(scores, {e.class_id: e for e in eer_results})
+    gini_data = gini_report(pools, eer_results)
     bq = bioquake_from_scores(
         fcs_data.genuine_scores, fcs_data.impostor_scores, resamples=resamples, seed=seed
     )
@@ -391,7 +372,7 @@ def build_security_report(model_name: str, scores: ScoreMatrix,
         model_name=model_name,
         aggregate=aggregate,
         auc_per_class=auc_per_class,
-        auc_macro=auc_macro,
+        auc_macro=float(np.mean(list(auc_per_class.values()))),
         eer_results=eer_results,
         eer_mean=float(np.mean([e.eer for e in eer_results])),
         fcs_data=fcs_data,

@@ -58,7 +58,7 @@ def _eer_per_class(result: RunResult):
     for name, r in sorted(result.reports.items()):
         for e in r.eer_results:
             yield [name, e.class_id, _fmt(e.eer), _fmt(e.threshold),
-                   _fmt(e.far_at_threshold), _fmt(e.frr_at_threshold), int(e.interpolated)]
+                   _fmt(e.far), _fmt(e.frr), int(e.interpolated)]
 
 
 def _fcs_histogram(result: RunResult):

@@ -105,6 +105,8 @@ class ScenarioSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "subjects", tuple(self.subjects))
+        if len(self.subjects) < 2:
+            raise InvalidSpec("at least two subjects required")
         if self.samples_per_subject < 1:
             raise InvalidSpec("samples_per_subject must be >= 1")
         if self.n_samples < 2 or self.n_subcarriers < 2:
@@ -206,8 +208,6 @@ def generate_dataset(scenario: ScenarioSpec) -> Dataset:
     subject id ``__attacker__`` with the victim and attack kind recorded
     in the matrix metadata; they are never meant to enter training.
     """
-    if len(scenario.subjects) < 2:
-        raise InvalidSpec("at least two subjects required")
     freqs = scenario.freqs()
     records: list[tuple[CsiMatrix, SubjectLabel]] = []
     for s_idx, (subject_id, chan) in enumerate(scenario.subjects):

@@ -192,6 +192,17 @@ def reference_features(values, freqs, epsilon=EPS) -> dict[str, float]:
 
 # --- metric references ------------------------------------------------------------
 
+def class_pools_per_row(class_ids, rows, true_labels):
+    """{class: (genuine, impostor)} lists built one matrix entry at a time."""
+    pools = {}
+    for j, class_id in enumerate(class_ids):
+        genuine, impostor = [], []
+        for row, label in zip(rows, true_labels):
+            (genuine if label == class_id else impostor).append(float(row[j]))
+        pools[class_id] = (genuine, impostor)
+    return pools
+
+
 def auc_pair_count(genuine, impostor) -> float:
     """O(n^2) pair statistic: wins + half-ties over all pairs."""
     wins = 0.0

@@ -473,6 +473,17 @@ def test_bad_scenario_exits_2_before_writing(tmp_path, capsys, scenario, needle)
     assert not out.exists()
 
 
+def test_one_subject_scenario_exits_2_on_print_config(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"subjects": SUBJECTS[:1]}))
+    assert main(["synth", "--scenario", str(path), "--print-config"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = _one_json_error_line(captured.err)
+    assert err["error"] == "InvalidSpec"
+    assert "at least two subjects" in err["detail"]
+
+
 @pytest.mark.parametrize("entry,needle", [
     ({"subject_id": "p1"}, "'path'"),
     ("cap.pcap", "JSON object"),

@@ -7,17 +7,17 @@ from csibio.metrics import (
     auc_from_scores,
     bioquake_from_scores,
     build_security_report,
+    class_pools,
     eer_from_scores,
-    eer_per_class,
     fcs,
     gini,
     gini_report,
-    roc_auc_ovr,
 )
 from csibio.model import ScoreMatrix
 from oracles import (
     auc_pair_count,
     bootstrap_eer_spread,
+    class_pools_per_row,
     eer_operating_point,
     eer_sweep,
     far_frr,
@@ -94,8 +94,10 @@ class TestAuc:
         rows = rng.dirichlet(np.ones(3), size=30)
         true = [f"s{i}" for i in rng.integers(0, 3, 30)]
         s = _scores(rows, true, class_ids=("s0", "s1", "s2"))
-        per_class, macro = roc_auc_ovr(s)
-        assert macro == pytest.approx(np.mean(list(per_class.values())), abs=1e-15)
+        report = build_security_report("demo", s, resamples=20)
+        assert report.auc_macro == pytest.approx(
+            np.mean(list(report.auc_per_class.values())), abs=1e-15
+        )
 
 
 class TestEer:
@@ -103,7 +105,7 @@ class TestEer:
         r = eer_from_scores(np.array([0.9, 0.95]), np.array([0.1, 0.2]))
         assert r.eer == 0.0
         assert r.threshold == pytest.approx(0.55, abs=1e-12)
-        assert r.far_at_threshold == 0.0 and r.frr_at_threshold == 0.0
+        assert r.far == 0.0 and r.frr == 0.0
         assert not r.interpolated
 
     def test_identical_sets_half(self):
@@ -117,7 +119,7 @@ class TestEer:
         assert not r.interpolated
         # FAR == FRR == 1/3 holds on the whole interval (0.4, 0.5].
         assert r.threshold == pytest.approx(0.45, abs=1e-12)
-        assert r.far_at_threshold == r.frr_at_threshold == 1.0 / 3.0
+        assert r.far == r.frr == 1.0 / 3.0
 
     def test_random_vs_exhaustive_sweep(self, rng):
         for _ in range(50):
@@ -146,7 +148,7 @@ class TestEer:
             if expected is None:
                 continue
             seen += 1
-            assert (got.far_at_threshold, got.frr_at_threshold) == expected
+            assert (got.far, got.frr) == expected
             assert far_frr(list(g), list(i), got.threshold) == expected
         assert seen > 20
 
@@ -156,7 +158,7 @@ class TestEer:
         r = eer_from_scores(np.array([0.5]), np.array([0.4, 0.6]))
         assert r.interpolated
         assert r.threshold == 0.5
-        assert (r.far_at_threshold, r.frr_at_threshold) == (0.5, 0.0)
+        assert (r.far, r.frr) == (0.5, 0.0)
 
     def test_interpolated_takes_upper_side_when_it_is_better(self):
         # Three impostors tie at 0.5: FAR 3/4, FRR 1/4 at 0.5 against
@@ -164,14 +166,14 @@ class TestEer:
         r = eer_from_scores(np.array([0.3, 0.6, 0.7, 0.8]), np.array([0.5, 0.5, 0.5, 0.1]))
         assert r.interpolated
         assert r.threshold == 0.6
-        assert (r.far_at_threshold, r.frr_at_threshold) == (0.0, 0.25)
+        assert (r.far, r.frr) == (0.0, 0.25)
 
     def test_interpolated_tie_takes_lower_far_side(self):
         # FAR 1/2, FRR 1/4 at 0.5 and FAR 0, FRR 1/2 at 0.9: max 1/2 on both.
         r = eer_from_scores(np.array([0.3, 0.5, 0.9, 0.9]), np.array([0.1, 0.5]))
         assert r.interpolated
         assert r.threshold == 0.9
-        assert (r.far_at_threshold, r.frr_at_threshold) == (0.0, 0.5)
+        assert (r.far, r.frr) == (0.0, 0.5)
 
     def test_interpolated_above_the_largest_score(self):
         # Every impostor sits at the top score: FAR 1, FRR 1/2 there ties
@@ -179,7 +181,7 @@ class TestEer:
         r = eer_from_scores(np.array([0.5, 0.9]), np.array([0.9, 0.9]))
         assert r.interpolated
         assert r.threshold == np.nextafter(0.9, np.inf)
-        assert (r.far_at_threshold, r.frr_at_threshold) == (0.0, 1.0)
+        assert (r.far, r.frr) == (0.0, 1.0)
 
     def test_monotonicity_adding_good_genuine(self, rng):
         for _ in range(20):
@@ -196,9 +198,57 @@ class TestEer:
     def test_per_class_extraction(self):
         rows = [[0.9, 0.1], [0.2, 0.8], [0.7, 0.3], [0.4, 0.6]]
         s = _scores(rows, ["a", "b", "a", "b"], class_ids=("a", "b"))
-        r = eer_per_class(s, "a")
+        genuine, impostor = class_pools(s)["a"]
+        r = eer_from_scores(genuine, impostor, "a")
         assert r.class_id == "a"
         assert r.eer == 0.0
+
+
+def _knn_like_scores(rng, n, c, k=5):
+    """Vote shares of k neighbours, biased toward the true class: scores on {0, 1/k, ..., 1}."""
+    true_idx = rng.permutation(np.arange(n) % c)
+    rows = np.empty((n, c))
+    for r, t in enumerate(true_idx):
+        p = np.full(c, 0.5 / (c - 1))
+        p[t] = 0.5
+        rows[r] = np.bincount(rng.choice(c, size=k, p=p), minlength=c) / k
+    return _scores(rows, [f"s{i}" for i in true_idx], class_ids=tuple(f"s{i}" for i in range(c)))
+
+
+def _dirichlet_scores(rng, n, c):
+    true_idx = rng.permutation(np.arange(n) % c)
+    rows = rng.dirichlet(np.ones(c), size=n)
+    return _scores(rows, [f"s{i}" for i in true_idx], class_ids=tuple(f"s{i}" for i in range(c)))
+
+
+class TestClassPools:
+    @pytest.mark.parametrize("make", [_dirichlet_scores, _knn_like_scores])
+    def test_matches_per_row_oracle(self, rng, make):
+        s = make(rng, 37, 4)
+        pools = class_pools(s)
+        expected = class_pools_per_row(s.class_ids, s.rows.tolist(), s.true_labels)
+        assert list(pools) == list(s.class_ids)
+        for c in s.class_ids:
+            genuine, impostor = pools[c]
+            assert genuine.tolist() == expected[c][0]
+            assert impostor.tolist() == expected[c][1]
+
+    def test_class_without_genuine_rows(self):
+        s = _scores([[0.9, 0.1], [0.8, 0.2]], ["a", "a"], class_ids=("a", "b"))
+        with pytest.raises(DegenerateClass, match="class 'a' lacks genuine or impostor"):
+            class_pools(s)
+
+    @pytest.mark.parametrize("make", [_dirichlet_scores, _knn_like_scores])
+    def test_gini_counts_are_the_eer_operating_points(self, rng, make):
+        for _ in range(10):
+            s = make(rng, 60, 5)
+            report = build_security_report("demo", s, resamples=20)
+            pools = class_pools(s)
+            gini_data = report.gini_data
+            for e in report.eer_results:
+                genuine, impostor = pools[e.class_id]
+                assert gini_data.fa_counts[e.class_id] / impostor.size == e.far
+                assert gini_data.fr_counts[e.class_id] / genuine.size == e.frr
 
 
 class TestFcs:
@@ -256,8 +306,8 @@ class TestGini:
 class TestGiniReport:
     def test_perfect_classifier_zero_gini(self):
         s = _scores(np.eye(3), ["a", "b", "c"])
-        eers = {c: eer_per_class(s, c) for c in s.class_ids}
-        rep = gini_report(s, eers)
+        pools = class_pools(s)
+        rep = gini_report(pools, tuple(eer_from_scores(g, i, c) for c, (g, i) in pools.items()))
         assert rep.gc_far == 0.0 and rep.gc_frr == 0.0 and rep.gc_mean == 0.0
         assert "gini:no_false_acceptances" in rep.flags
 
@@ -272,8 +322,8 @@ class TestGiniReport:
             [0.2, 0.75, 0.05], # b genuine fine
         ]
         s = _scores(rows, ["a", "b", "c", "b", "c", "b"])
-        eers = {c: eer_per_class(s, c) for c in s.class_ids}
-        rep = gini_report(s, eers)
+        pools = class_pools(s)
+        rep = gini_report(pools, tuple(eer_from_scores(g, i, c) for c, (g, i) in pools.items()))
         counts = np.array([rep.fa_counts[c] for c in s.class_ids], dtype=float)
         assert rep.gc_far == pytest.approx(gini_pairwise(list(counts)), abs=1e-12)
         assert rep.gc_mean == pytest.approx((rep.gc_far + rep.gc_frr) / 2, abs=1e-15)

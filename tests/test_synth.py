@@ -115,10 +115,8 @@ class TestGenerateDataset:
 
     def test_requires_two_subjects(self):
         chan = _clean_spec([(1.0, 0.0, 0.0)])
-        with pytest.raises(InvalidSpec):
-            generate_dataset(
-                ScenarioSpec(subjects=(("solo", chan),), n_samples=8, n_subcarriers=8)
-            )
+        with pytest.raises(InvalidSpec, match="at least two subjects"):
+            ScenarioSpec(subjects=(("solo", chan),), n_samples=8, n_subcarriers=8)
 
     def test_zero_noise_replay_is_exact_copy(self):
         s = _two_subject_scenario(attack=AttackSpec(AttackKind.REPLAY, 0.0))
