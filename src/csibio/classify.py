@@ -5,7 +5,8 @@ decision tree (Gini impurity, midpoint thresholds), a bootstrap random
 forest with sqrt-feature subsampling, and a feed-forward network with
 ReLU hidden layers, softmax output, and momentum SGD.
 
-Everything is deterministic given (spec, data, seed): bootstrap draws,
+Everything is deterministic given (spec, data, seed): ``fit`` takes the
+seed, and the evaluation harness passes its protocol seed. Bootstrap draws,
 feature subsampling, network init, and batch shuffles all derive from
 seeded generators; tie-breaks are resolved toward lower thresholds and
 lower feature indices.
@@ -30,7 +31,6 @@ from .model import JSON_TYPES, FeatureMatrix, ScoreMatrix
 class ModelSpec:
     kind: str
     hyperparams: dict = field(default_factory=dict)
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -527,6 +527,7 @@ class TrainedModel:
     class_ids: tuple[str, ...]
     feature_names: tuple[str, ...]
     impl: object
+    seed: int = 0  # the fit seed
 
     def predict_proba(self, matrix: FeatureMatrix) -> ScoreMatrix:
         """Score every row; true labels are carried through from the matrix."""
@@ -538,14 +539,13 @@ class TrainedModel:
         return ScoreMatrix(self.class_ids, probs, matrix.labels)
 
 
-def fit(spec: ModelSpec, matrix: FeatureMatrix, y: Sequence[str] | None = None) -> TrainedModel:
-    """Train one model on a feature matrix; labels default to the matrix's own."""
-    labels = tuple(y) if y is not None else matrix.labels
-    class_ids, codes = np.unique(np.asarray(labels), return_inverse=True)
+def fit(spec: ModelSpec, matrix: FeatureMatrix, seed: int = 0) -> TrainedModel:
+    """Train one model on a feature matrix and its labels; ``seed`` drives every draw."""
+    class_ids, codes = np.unique(np.asarray(matrix.labels), return_inverse=True)
     x = matrix.values
     _validate_training(x, codes, len(class_ids))
-    impl = _IMPLS[spec.kind].fit(x, codes, len(class_ids), spec.hyperparams, spec.seed)
-    return TrainedModel(spec, tuple(str(c) for c in class_ids), matrix.feature_names, impl)
+    impl = _IMPLS[spec.kind].fit(x, codes, len(class_ids), spec.hyperparams, seed)
+    return TrainedModel(spec, tuple(str(c) for c in class_ids), matrix.feature_names, impl, seed)
 
 
 # --- versioned binary container ----------------------------------------------
@@ -567,7 +567,7 @@ def save_model(model: TrainedModel, path) -> None:
         "format_version": 1,
         "kind": model.spec.kind,
         "hyperparams": model.spec.hyperparams,
-        "seed": model.spec.seed,
+        "seed": model.seed,
         "class_ids": list(model.class_ids),
         "feature_names": list(model.feature_names),
         "arrays": manifest,
@@ -596,8 +596,7 @@ def load_model(path) -> TrainedModel:
             dtype = np.dtype(entry["dtype"])
             raw = fh.read(count * dtype.itemsize)
             arrays[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"])
-    spec = ModelSpec(header["kind"], header["hyperparams"], header["seed"])
+    spec = ModelSpec(header["kind"], header["hyperparams"])
     impl = _IMPLS[spec.kind].from_arrays(arrays, spec.hyperparams, len(header["class_ids"]))
-    return TrainedModel(
-        spec, tuple(header["class_ids"]), tuple(header["feature_names"]), impl
-    )
+    return TrainedModel(spec, tuple(header["class_ids"]), tuple(header["feature_names"]), impl,
+                        header["seed"])

@@ -12,7 +12,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__, harness, ingest, report, synth
@@ -25,17 +25,40 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 EXIT_LEAKAGE = 3
 
-# Keys a config may hold beside its protocol; only evaluate reads them.
-EVALUATE_KEYS = ("models", "audit", "audit_model")
-DEFAULT_MODELS = [
-    {"kind": "random_forest", "hyperparams": {}},
-    {"kind": "knn", "hyperparams": {"k": 5}},
-]
+
+@dataclass(frozen=True)
+class EvaluateConfig:
+    """What ``--config`` holds: the protocol, the models to cross-validate and the
+    leakage audit; ``audit_model`` defaults to the first model's kind."""
+
+    protocol: harness.ProtocolConfig = harness.ProtocolConfig()
+    models: tuple[ModelSpec, ...] = (ModelSpec("random_forest"), ModelSpec("knn", {"k": 5}))
+    audit: bool = True
+    audit_model: str | None = None
+
+    def __post_init__(self):
+        kinds = [m.kind for m in self.models]
+        if not kinds:
+            raise ValueError("evaluate config lists no models")
+        if len(set(kinds)) != len(kinds):
+            raise ValueError(f"evaluate config lists a model kind twice: {kinds}")
+        if self.audit and self.audit_model not in (None, *kinds):
+            raise ValueError(f"audit_model {self.audit_model!r} is not one of the models {kinds}")
+        if self.audit_model is None:
+            object.__setattr__(self, "audit_model", kinds[0])
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "protocol": self.protocol.to_dict()}
 
 
 def _fail(kind: str, detail: str, code: int) -> int:
     sys.stderr.write(json.dumps({"error": kind, "detail": detail}) + "\n")
     return code
+
+
+def _print_json(d: dict) -> int:
+    print(json.dumps(d, indent=2, sort_keys=True))
+    return EXIT_OK
 
 
 def _load_json(path: str) -> dict:
@@ -57,8 +80,7 @@ def _cmd_synth(args) -> int:
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     if args.print_config:
-        print(json.dumps(synth.scenario_to_dict(scenario), indent=2, sort_keys=True))
-        return EXIT_OK
+        return _print_json(synth.scenario_to_dict(scenario))
     dataset = synth.generate_dataset(scenario)
     manifest = ingest.write_dataset_dir(dataset, args.out)
     print(
@@ -129,35 +151,36 @@ def _cmd_ingest(args) -> int:
 
 # --- features ----------------------------------------------------------------
 
-def _load_config(args) -> tuple[harness.ProtocolConfig, dict]:
-    """Read --config, apply --window-size / --seed, build the protocol.
+def _load_config(args) -> EvaluateConfig:
+    """Read --config, apply --window-size / --seed, build the evaluate config.
 
     The protocol is the ``protocol`` key of the file, or the whole file
-    when that key is absent. Beside it only the evaluate keys may sit.
+    when that key is absent; the other EvaluateConfig fields sit beside it.
+    Features reads the same config and uses only its protocol.
     """
     raw = _load_json(args.config) if args.config else {}
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-    wrapped = "protocol" in raw
-    section = raw["protocol"] if wrapped else raw
-    unknown = sorted(set(raw) - {"protocol", *EVALUATE_KEYS}) if wrapped else []
-    if unknown:
-        raise ConfigError(f"config has unknown keys {unknown} beside 'protocol'")
+    if "protocol" in raw:
+        section, rest = raw["protocol"], {k: v for k, v in raw.items() if k != "protocol"}
+    else:  # a bare protocol, with the other EvaluateConfig fields beside its own
+        outer = {f.name for f in fields(EvaluateConfig)}
+        section = {k: v for k, v in raw.items() if k not in outer}
+        rest = {k: v for k, v in raw.items() if k in outer}
     if not isinstance(section, dict):
         raise ConfigError(f"protocol must be a JSON object, got {type(section).__name__}")
     overrides = {"window_size": args.window_size, "seed": args.seed}
     section = {**section, **{k: v for k, v in overrides.items() if v is not None}}
     try:
-        return harness.protocol_from_dict(section, () if wrapped else EVALUATE_KEYS), raw
+        return from_dict(EvaluateConfig, {**rest, "protocol": harness.protocol_from_dict(section)})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {args.command} config: {exc}") from exc
 
 
 def _cmd_features(args) -> int:
-    protocol, _ = _load_config(args)
+    protocol = _load_config(args).protocol
     if args.print_config:
-        print(json.dumps(protocol.to_dict(), indent=2, sort_keys=True))
-        return EXIT_OK
+        return _print_json(protocol.to_dict())
     dataset = ingest.read_dataset_dir(args.dataset)
     ws = harness.prepare_windows(dataset, protocol)
     out = Path(args.out)
@@ -182,71 +205,23 @@ def _cmd_features(args) -> int:
 
 # --- evaluate -----------------------------------------------------------------
 
-def _evaluate_config(args) -> tuple[harness.ProtocolConfig, list[ModelSpec], dict]:
-    """The shared config plus the model list, checked before any data is read."""
-    protocol, raw = _load_config(args)
-    if not isinstance(raw.get("audit", True), bool):
-        raise ConfigError(f"audit must be true or false, got {raw['audit']!r}")
-    entries = raw.get("models", DEFAULT_MODELS)
-    try:
-        models = [replace(from_dict(ModelSpec, m), seed=protocol.seed) for m in entries]
-        if any("seed" in m for m in entries):
-            raise ValueError("a model entry takes the protocol seed; remove its 'seed'")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad evaluate config: {exc}") from exc
-    kinds = [m.kind for m in models]
-    if not kinds:
-        raise ConfigError("evaluate config lists no models")
-    if len(set(kinds)) != len(kinds):
-        raise ConfigError(f"evaluate config lists a model kind twice: {kinds}")
-    if raw.get("audit", True) and raw.get("audit_model", kinds[0]) not in kinds:
-        raise ConfigError(f"audit_model {raw['audit_model']!r} is not one of the models {kinds}")
-    return protocol, models, raw
-
-
 def _cmd_evaluate(args) -> int:
-    protocol, models, raw = _evaluate_config(args)
+    cfg = _load_config(args)
     if args.print_config:
-        print(
-            json.dumps(
-                {
-                    "protocol": protocol.to_dict(),
-                    "models": [
-                        {"kind": m.kind, "hyperparams": m.hyperparams}
-                        for m in models
-                    ],
-                    "audit": raw.get("audit", True),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return EXIT_OK
+        return _print_json(cfg.to_dict())
     dataset = ingest.read_dataset_dir(args.dataset)
     genuine, _ = synth.split_attack(dataset)
-    ws = harness.prepare_windows(genuine, protocol)
-    result = harness.run_cv(genuine, protocol, models, ws=ws)
-    if raw.get("audit", True):
-        audit_kind = raw.get("audit_model", models[0].kind)
-        audit_model = next(m for m in models if m.kind == audit_kind)
-        audit = harness.leakage_audit(genuine, protocol, audit_model, ws=ws, result=result)
+    ws = harness.prepare_windows(genuine, cfg.protocol)
+    result = harness.run_cv(genuine, cfg.protocol, cfg.models, ws=ws)
+    if cfg.audit:
+        audit_model = next(m for m in cfg.models if m.kind == cfg.audit_model)
+        audit = harness.leakage_audit(genuine, cfg.protocol, audit_model, ws=ws, result=result)
         result = replace(result, leakage_audit=audit)
     files = report.write_all(args.out, result)
-    print(
-        json.dumps(
-            {
-                "out": str(args.out),
-                "files": files,
-                "result_digest": result.digest(),
-                "leakage_flagged": (
-                    result.leakage_audit.flagged if result.leakage_audit else None
-                ),
-            }
-        )
-    )
-    if result.leakage_audit is not None and result.leakage_audit.flagged:
-        return EXIT_LEAKAGE
-    return EXIT_OK
+    flagged = result.leakage_audit.flagged if result.leakage_audit else None
+    print(json.dumps({"out": str(args.out), "files": files,
+                      "result_digest": result.digest(), "leakage_flagged": flagged}))
+    return EXIT_LEAKAGE if flagged else EXIT_OK
 
 
 # --- entry point -----------------------------------------------------------------

@@ -111,10 +111,10 @@ class ProtocolConfig:
         ).hexdigest()
 
 
-def protocol_from_dict(d: dict, ignore=()) -> ProtocolConfig:
+def protocol_from_dict(d: dict) -> ProtocolConfig:
     """Inverse of ``ProtocolConfig.to_dict``; a key that is not a field raises,
-    except ``grids`` (read by the retired grid search) and those in ``ignore``."""
-    return from_dict(ProtocolConfig, d, ignore=("grids", *ignore))
+    except ``grids`` (read by the retired grid search)."""
+    return from_dict(ProtocolConfig, d, ignore=("grids",))
 
 
 # --- windowing -----------------------------------------------------------------
@@ -134,8 +134,8 @@ def window_dataset(dataset: Dataset, cfg: ProtocolConfig) -> list[RecordWindows]
 
     Default stride equals the window size (non-overlapping); a trailing
     remainder shorter than one window is dropped. Each batch is a strided
-    view of its record: ``features.extract_all`` copies one record at a
-    time into C order, so the whole dataset is never held twice.
+    view of its record: ``prepare_windows`` copies a bounded slice of it at
+    a time into C order, so overlapping windows are never all held at once.
     """
     out = []
     for record_index, (matrix, label) in enumerate(dataset):
@@ -179,6 +179,12 @@ def _apply_hand_filter(dataset: Dataset, hand_filter: str) -> Dataset:
     return dataset.filter(lambda lab: lab.hand in (wanted, Hand.UNSPECIFIED))
 
 
+# Most elements of the [n, K, W] window slice one extract_all call sees, about
+# 4 MB of complex128; rows do not depend on their batch, so slicing keeps the bits.
+# A whole record of every benchmark workload fits in one slice.
+_EXTRACT_CHUNK_ELEMENTS = 1 << 18
+
+
 def prepare_windows(dataset: Dataset, cfg: ProtocolConfig) -> WindowSet:
     """Run the per-record pipeline and extract one feature row per window."""
     dataset = _apply_hand_filter(dataset, cfg.hand_filter)
@@ -188,7 +194,11 @@ def prepare_windows(dataset: Dataset, cfg: ProtocolConfig) -> WindowSet:
         tuple((preprocess_record(m, cfg.preprocess), lab) for m, lab in dataset)
     )
     records = window_dataset(processed, cfg)
-    rows = [features.extract_all(r.values, r.freqs, cfg.feature_groups)[0] for r in records]
+    rows = []
+    for r in records:
+        step = max(1, _EXTRACT_CHUNK_ELEMENTS // r.values[0].size)
+        rows += [features.extract_all(r.values[i : i + step], r.freqs, cfg.feature_groups)[0]
+                 for i in range(0, len(r.values), step)]
     windows = [(r, start) for r in records for start in r.starts]
     subjects = tuple(r.label.subject_id for r, _ in windows)
     names = features.feature_names(cfg.feature_groups)
@@ -360,7 +370,7 @@ def _cv_scores(
         test_matrix = _scaled_rows(ws.matrix, scaler, test_idx, selected)
 
         for spec in models:
-            model = fit(spec, train_matrix)
+            model = fit(spec, train_matrix, seed=cfg.seed)
             scores = model.predict_proba(test_matrix)
             per_model_scores[spec.name()].append(scores)
             correct = sum(
@@ -483,7 +493,7 @@ def attack_report(dataset: Dataset, cfg: ProtocolConfig, model: ModelSpec,
     scaler, ranking = _scale_and_rank(genuine_ws.matrix, cfg)
     selected = tuple(r.name for r in ranking)
     train = _scaled_rows(genuine_ws.matrix, scaler, selected=selected)
-    trained = fit(model, train)
+    trained = fit(model, train, seed=cfg.seed)
 
     attack_ws = prepare_windows(attack_d, cfg)
     scores = trained.predict_proba(_scaled_rows(attack_ws.matrix, scaler, selected=selected))

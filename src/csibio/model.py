@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, is_dataclass, replace
 from enum import Enum, EnumMeta
 from numbers import Integral, Real
 from types import UnionType
-from typing import Sequence, get_args, get_type_hints
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -256,6 +256,10 @@ def _coerce(tp, value, where: str):
         raise ValueError(f"{where} must be one of {[m.value for m in tp]}, got {value!r}")
     if isinstance(tp, EnumMeta) or tp in (int, float):
         return tp(value)
+    if get_origin(tp) is tuple and is_dataclass(get_args(tp)[0]):  # ``tuple[X, ...]``
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"{where} must be a JSON list, got {value!r}")
+        return tuple(from_dict(get_args(tp)[0], v) for v in value)
     return from_dict(tp, value) if is_dataclass(tp) else value
 
 
@@ -263,7 +267,10 @@ def from_dict(cls, d: dict, ignore=()):
     """Build config dataclass ``cls`` from a JSON object; absent keys keep their defaults.
 
     A key that is neither a field nor in ``ignore`` raises; every error names ``cls``.
+    An already-built ``cls`` passes through unchanged.
     """
+    if isinstance(d, cls):
+        return d
     if not isinstance(d, dict):
         raise TypeError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
     hints = get_type_hints(cls)

@@ -23,8 +23,8 @@ from oracles import (
 )
 from test_harness import leakage_fixture
 
-RF = ModelSpec("random_forest", {"n_trees": 50}, seed=11)
-KNN = ModelSpec("knn", {"k": 5}, seed=11)
+RF = ModelSpec("random_forest", {"n_trees": 50})
+KNN = ModelSpec("knn", {"k": 5})
 
 PROTOCOL_50 = harness.ProtocolConfig(
     window_size=50,

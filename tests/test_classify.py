@@ -80,24 +80,24 @@ class TestFitContracts:
 class TestAllModels:
     def test_separable_blobs_high_training_accuracy(self, rng, kind, hp):
         fm = _blobs(rng, n_per_class=100)
-        model = fit(ModelSpec(kind, hp, seed=1), fm)
+        model = fit(ModelSpec(kind, hp), fm, seed=1)
         assert _accuracy(model, fm) >= 0.99
 
     def test_probability_rows_valid(self, rng, kind, hp):
         fm = _blobs(rng, n_per_class=30)
-        scores = fit(ModelSpec(kind, hp, seed=1), fm).predict_proba(fm)
+        scores = fit(ModelSpec(kind, hp), fm, seed=1).predict_proba(fm)
         assert np.all(scores.rows >= 0)
         assert np.allclose(scores.rows.sum(axis=1), 1.0, atol=1e-9)
 
     def test_seed_determinism(self, rng, kind, hp):
         fm = _blobs(rng, n_per_class=40)
-        a = fit(ModelSpec(kind, hp, seed=9), fm).predict_proba(fm)
-        b = fit(ModelSpec(kind, hp, seed=9), fm).predict_proba(fm)
+        a = fit(ModelSpec(kind, hp), fm, seed=9).predict_proba(fm)
+        b = fit(ModelSpec(kind, hp), fm, seed=9).predict_proba(fm)
         assert np.array_equal(a.rows, b.rows)
 
     def test_save_load_round_trip(self, rng, kind, hp, tmp_path):
         fm = _blobs(rng, n_per_class=25)
-        model = fit(ModelSpec(kind, hp, seed=2), fm)
+        model = fit(ModelSpec(kind, hp), fm, seed=2)
         path = tmp_path / "model.bin"
         save_model(model, path)
         again = load_model(path)
@@ -163,14 +163,14 @@ class TestTreesAndForest:
 
     def test_forest_of_one_equals_tree_without_bootstrap(self, rng):
         fm = _blobs(rng, n_per_class=25, separation=1.5)
-        tree = fit(ModelSpec("decision_tree", {}, seed=3), fm)
+        tree = fit(ModelSpec("decision_tree", {}), fm, seed=3)
         forest = fit(
             ModelSpec(
                 "random_forest",
                 {"n_trees": 1, "bootstrap": False, "max_features": None},
-                seed=3,
             ),
             fm,
+            seed=3,
         )
         assert np.array_equal(
             tree.predict_proba(fm).rows, forest.predict_proba(fm).rows
@@ -238,10 +238,10 @@ class TestSplitSearchOracle:
         x[:, 4] = 2.0
         labels = tuple(f"s{c}" for c in rng.integers(0, 7, size=120))
         fm = FeatureMatrix(tuple(f"f{i}" for i in range(6)), x, labels)
-        spec = ModelSpec(kind, hyperparams, seed=5)
-        save_model(fit(spec, fm), tmp_path / "batched.bin")
+        spec = ModelSpec(kind, hyperparams)
+        save_model(fit(spec, fm, seed=5), tmp_path / "batched.bin")
         monkeypatch.setattr(classify, "_best_split", oracles.best_split_per_feature)
-        save_model(fit(spec, fm), tmp_path / "per_feature.bin")
+        save_model(fit(spec, fm, seed=5), tmp_path / "per_feature.bin")
         assert (tmp_path / "batched.bin").read_bytes() == (tmp_path / "per_feature.bin").read_bytes()
 
 
@@ -276,15 +276,16 @@ class TestMlp:
             (fm.values - fm.values.mean(axis=0)) / fm.values.std(axis=0),
             fm.labels,
         )
-        model = fit(ModelSpec("mlp", {"max_epochs": 12}, seed=4), scaled)
+        model = fit(ModelSpec("mlp", {"max_epochs": 12}), scaled, seed=4)
         curve = model.impl.loss_curve[:10]
         assert all(b < a for a, b in zip(curve, curve[1:]))
 
     def test_multi_hidden_layer(self, rng):
         fm = _blobs(rng, n_per_class=40)
         model = fit(
-            ModelSpec("mlp", {"hidden_layers": (16, 8), "max_epochs": 150}, seed=5),
+            ModelSpec("mlp", {"hidden_layers": (16, 8), "max_epochs": 150}),
             fm,
+            seed=5,
         )
         assert _accuracy(model, fm) >= 0.98
 

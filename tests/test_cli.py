@@ -223,6 +223,24 @@ class TestEvaluateCommand:
         assert err["error"] == "ValueError"
         assert not (out / "run_result.json").exists()
 
+    def test_library_run_matches_cli_under_one_seed(self, dataset_dir, tmp_path, capsys):
+        """The protocol seed is the only seed: run_cv and evaluate share it."""
+        from csibio import harness
+        from csibio.classify import ModelSpec
+        from csibio.ingest import read_dataset_dir
+
+        forest = {"kind": "random_forest", "hyperparams": {"n_trees": 3}}
+        cfg = _protocol_file(tmp_path, models=[forest], audit=False)
+        argv = ["evaluate", str(dataset_dir), "--config", str(cfg), "--seed", "7",
+                "--out", str(tmp_path / "rep")]
+        capsys.readouterr()
+        assert main(argv) == 0
+        cli_digest = json.loads(capsys.readouterr().out)["result_digest"]
+        protocol = harness.ProtocolConfig(window_size=40, selection_k=8, bioquake_resamples=20,
+                                          seed=7)
+        result = harness.run_cv(read_dataset_dir(dataset_dir), protocol, [ModelSpec(**forest)])
+        assert result.digest() == cli_digest
+
     def test_missing_dataset_exits_1(self, tmp_path):
         cfg = _protocol_file(tmp_path)
         code = main(
@@ -376,14 +394,16 @@ class TestConfigErrors:
         ("features", {"preprocess": {"cfo_scope": "nope"}}, "cfo_scope"),
         ("evaluate", {"preprocess": {"mad_widow": 9}}, "PreprocessConfig has no field"),
         ("features", {"protocol": {}, "modles": []}, "['modles']"),
-        ("evaluate", {"protocol": {}, "audit": "no"}, "audit must be true or false"),
+        ("evaluate", {"protocol": {}, "audit": "no"}, "EvaluateConfig.audit must be a JSON bool"),
         ("evaluate", {"protocol": {}, "models": [{"kind": "knn", "hyperparameters": {"k": 1}}]},
          "ModelSpec has no field(s) ['hyperparameters']"),
         ("evaluate", {"protocol": {}, "models": [{"kind": "knn", "seed": 3}]}, "seed"),
         ("evaluate", {"protocol": {}, "models": ["knn"]}, "ModelSpec must be a JSON object"),
+        # One loader serves both commands, so features checks the models too.
+        ("features", {"protocol": {}, "models": [{"kind": "svm"}]}, "unknown model kind 'svm'"),
     ], ids=["protocol-key", "wrapped-protocol-key", "float-int", "string-int", "bool-int",
             "string-bool", "cfo-scope", "preprocess-key", "top-level-key", "audit-string",
-            "model-key", "model-seed", "model-not-object"])
+            "model-key", "model-seed", "model-not-object", "features-model-kind"])
     def test_unknown_key_or_wrong_type_exits_2(self, tmp_path, capsys, command, config, needle):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))

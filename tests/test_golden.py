@@ -55,7 +55,7 @@ CONFIG_DIGEST = "95da47d662f035baddbe3ebf959739b32e0d2b24523bc402c562320332b9410
 RESULT_DIGEST = "9a67213e9cbfde53baacca7c8a0ddbe89d76bd3f67d44d156a01b2a99d3c877f"
 PRINT_CONFIG_SHA = {
     "features": "216b03a5c9062e8eca08a4be8925815a6cf27e874a17bed9815bcadab81deb8b",
-    "evaluate": "f1eb64df6b2eb9bd38f9e6e7755bc80807812189aa50fd66a63b5a8e37fde984",
+    "evaluate": "1ca4a6bd59ffc02c4c54a52226a9df2ab1577de3b9bbb0697eea2336088c35e3",
 }
 # (command, config file contents, extra arguments) -> --print-config sha256
 RICH_PRINT_CONFIG = [
@@ -64,11 +64,11 @@ RICH_PRINT_CONFIG = [
     ("features", {"protocol": RICH_PROTOCOL}, ["--window-size", "32", "--seed", "5"],
      "db75f8197b65c7ef707c0288e4cf7a140d18f9e2ce4600b14a044414a56ebbb3"),
     ("evaluate", {"protocol": RICH_PROTOCOL, "models": MODELS, "audit": False}, [],
-     "9fe165dcfc0de7d67a4224865fc3df195cca3b7fbc398ef153a1aa598d847fb9"),
+     "7311d19ea2301b001e8da05b4c379402036093fa268140bf8cb266578ea56db2"),
     ("evaluate", {"protocol": RICH_PROTOCOL}, ["--window-size", "32", "--seed", "5"],
-     "0fed6603b12e9e195f954b64b1010a0319a26a851c033a6dc431346cfa7a7d68"),
+     "bee0233e1fdffc54d221e8746d0d9d67d9502c4a4c6488ce781b180dc61ff946"),
     ("evaluate", RICH_PROTOCOL, [],
-     "bb33db82e91c9b15a94602c705112e5dfb606d71b2d00910154863b04edc4b53"),
+     "61fbed2bef0a6aa6e66a4f86743be88646d9cbf774a3ff9a53c97382c0907b60"),
 ]
 # A partial scenario: ints in float fields, defaults left out, an attack, hand left.
 SCENARIO = {
@@ -170,6 +170,41 @@ def test_synth_print_config_bytes(tmp_path, scenario, extra, expected, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
+def _keys(config: dict) -> set:
+    """The keys a config sets, a wrapped protocol's keys counted beside the others."""
+    return set(config) - {"protocol"} | set(config.get("protocol", {}))
+
+
+# (command, config file contents or None, extra arguments): every pinned --print-config input.
+ROUND_TRIPS = [
+    ("evaluate", CONFIG, []),
+    *(row[:3] for row in RICH_PRINT_CONFIG),
+    *(("synth", scenario, extra) for scenario, extra, _ in SYNTH_PRINT_CONFIG),
+]
+
+
+@pytest.mark.parametrize(
+    "command,config,extra",
+    ROUND_TRIPS,
+    ids=["evaluate-config", "features-bare", "features-overrides", "evaluate-audit-off",
+         "evaluate-overrides", "evaluate-bare", "synth-bundled", "synth-attack-left-hand"],
+)
+def test_print_config_round_trip(tmp_path, command, config, extra, capsys):
+    """A printed config keeps every key its file set and prints itself again byte for byte."""
+    flag = "--scenario" if command == "synth" else "--config"
+
+    def printed(config, extra):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        source = [] if config is None else [flag, str(path)]
+        assert main([command, *source, *extra, "--print-config"]) == 0
+        return capsys.readouterr().out
+
+    first = printed(config, extra)
+    assert _keys(config or {}) <= _keys(json.loads(first))
+    assert printed(json.loads(first), []) == first
+
+
 def test_result_digest(golden):
     root, _ = golden
     result = json.loads((root / "eval" / "run_result.json").read_text())
@@ -198,6 +233,6 @@ def test_saved_model_bytes(golden, tmp_path):
     got = {}
     for kind in MODEL_KINDS:
         path = tmp_path / f"{kind}.mdl"
-        save_model(fit(ModelSpec(kind, seed=protocol.seed), matrix), path)
+        save_model(fit(ModelSpec(kind), matrix, seed=protocol.seed), path)
         got[kind] = _sha(path)
     assert got == MODEL_SHA

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from csibio import features, harness
 from csibio.classify import ModelSpec
 from csibio.errors import InsufficientData, RecordTooShort
 from csibio.harness import (
@@ -12,6 +13,7 @@ from csibio.harness import (
     leakage_audit,
     make_folds,
     prepare_windows,
+    preprocess_record,
     protocol_from_dict,
     run_cv,
     stratified_kfold,
@@ -86,6 +88,22 @@ class TestWindowing:
             assert (record.record_index, record.label) == (record_index, label)
             for window, start in zip(record.values, record.starts):
                 assert np.array_equal(window, m.values[:, start : start + 50])
+
+
+def test_overlapping_windows_extracted_in_bounded_slices(monkeypatch):
+    """Stride 1 feeds extract_all bounded slices whose rows are the whole record's rows."""
+    dataset = generate_dataset(small_scenario(n_subjects=2, samples_per_subject=1, n_samples=500))
+    cfg = ProtocolConfig(window_size=40, window_stride=1)
+    extract = features.extract_all
+    seen = []
+    monkeypatch.setattr(features, "extract_all",
+                        lambda values, *a: seen.append(values.size) or extract(values, *a))
+    ws = prepare_windows(dataset, cfg)
+    assert max(seen) <= harness._EXTRACT_CHUNK_ELEMENTS and len(seen) > len(dataset)
+    processed = Dataset(tuple((preprocess_record(m, cfg.preprocess), lab) for m, lab in dataset))
+    whole = [extract(r.values, r.freqs, cfg.feature_groups)[0]
+             for r in window_dataset(processed, cfg)]
+    assert np.array_equal(ws.matrix.values, np.vstack(whole))
 
 
 class TestStratifiedKfold:
