@@ -61,26 +61,43 @@ class MadRepairReport:
     untouched_subcarriers: tuple[int, ...]  # rows left as-is (all samples flagged)
 
 
-def _rolling_median_mad(x: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Centered rolling median and raw MAD of each row of ``x``, over the last axis.
+# Most window elements the MAD sort buffer holds: a [rows, T - w + 1, w]
+# float64 block of about 4 MB, the size of prepare_windows' feature slices.
+# Rows do not depend on their block, so blocking keeps the bits.
+_MAD_SORT_ELEMENTS = 1 << 19
 
-    The window is odd, so each median is the middle entry of one sort
-    over all rows at once. Edge positions reuse the nearest full-width
-    window (a shrunken window would lose rejection power: with two
-    samples |x - median| always equals the MAD).
+
+def _mad_flags(x: np.ndarray, window: int) -> np.ndarray:
+    """Flag entries of ``x`` [K, T] more than MAD_FACTOR rolling MADs from the rolling median.
+
+    Both statistics are centered over time and the MAD is raw. The window
+    is odd, so each median is the middle entry of one sort. Rows are
+    sorted in blocks of at most ``_MAD_SORT_ELEMENTS`` window elements (one
+    row at the least), each in the same buffer. Edge positions reuse the
+    nearest full-width window (a shrunken window would lose rejection
+    power: with two samples |x - median| always equals the MAD).
     """
     n = x.shape[-1]
     half = window // 2
-    view = np.lib.stride_tricks.sliding_window_view(x, window, axis=-1)
-    # Each sort copies every window; keep one such copy alive at a time.
-    win_med = np.sort(view, axis=-1)[..., half].copy()
-    dev = view - win_med[..., None]
-    np.abs(dev, out=dev)
-    dev.sort(axis=-1)
-    win_mad = dev[..., half]
     # Position t uses the window starting at clamp(t - half, 0, n - window).
     starts = np.clip(np.arange(n) - half, 0, n - window)
-    return win_med[..., starts], win_mad[..., starts]
+    flags = np.empty(x.shape, dtype=bool)
+    step = max(1, _MAD_SORT_ELEMENTS // ((n - window + 1) * window))
+    # One buffer holds each block's windows, sorted in place: first the
+    # values, then their absolute deviations from the median.
+    buf = np.empty((min(step, x.shape[0]), n - window + 1, window))
+    for i in range(0, x.shape[0], step):
+        rows = x[i : i + step]
+        view = np.lib.stride_tricks.sliding_window_view(rows, window, axis=-1)
+        block = buf[: view.shape[0]]
+        block[...] = view
+        block.sort(axis=-1)
+        med = block[..., half].copy()
+        np.subtract(view, med[..., None], out=block)
+        np.abs(block, out=block)
+        block.sort(axis=-1)
+        flags[i : i + step] = np.abs(rows - med[:, starts]) > MAD_FACTOR * block[:, starts, half]
+    return flags
 
 
 def _interpolate_flagged(x: np.ndarray, flagged: np.ndarray) -> np.ndarray:
@@ -109,8 +126,7 @@ def mad_temporal_repair(m: CsiMatrix, window: int = 9) -> tuple[CsiMatrix, MadRe
         raise WindowTooLarge(f"window {window} exceeds T={m.n_samples}")
 
     amps = m.amplitude()
-    med, mad = _rolling_median_mad(amps, window)
-    flags = np.abs(amps - med) > MAD_FACTOR * mad
+    flags = _mad_flags(amps, window)
     untouched = np.flatnonzero(flags.all(axis=1))
     flags[untouched] = False
     values = np.array(m.values)

@@ -1,12 +1,14 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is a deliberately naive transcription of the defining
-formulas: explicit Python loops over matrix entries, pairwise counting
-for rank statistics, exhaustive threshold sweeps. No code is shared
-with the package implementations and no algebraic shortcuts are taken,
-so agreement is meaningful evidence. The classifier references are the
-per-feature split search and the per-row knn vote that the batched
-versions replaced; those are compared byte for byte.
+Most of what is here is a deliberately naive transcription of the
+defining formulas: explicit Python loops over matrix entries, pairwise
+counting for rank statistics, exhaustive threshold sweeps. No code is
+shared with the package implementations and no algebraic shortcuts are
+taken, so agreement is meaningful evidence. The classifier references
+are instead the code that the batched versions replaced, compared byte
+for byte: the per-feature split search, the recursive per-node tree
+grower with its split search over all candidate features at once, and
+the per-row knn vote.
 """
 
 from __future__ import annotations
@@ -326,6 +328,129 @@ def best_split_per_feature(x, codes, idx, n_classes, max_features, rng):
     if best is None:
         return None
     return best[2], best[1]
+
+
+def tree_fit_per_node(x, codes, n_classes, hp, max_features=None, rng=None):
+    """The recursive CART grower: one ``best_split_per_node`` call per node, depth first.
+
+    Returns the (feature, threshold, left, right, probs) arrays of the tree.
+    """
+    max_depth, min_samples_split = hp["max_depth"], hp["min_samples_split"]
+    n, d = x.shape
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    probs: list[np.ndarray] = []
+
+    def leaf(idx):
+        counts = np.bincount(codes[idx], minlength=n_classes).astype(float)
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        probs.append(counts / counts.sum())
+        return node
+
+    def grow(idx, depth):
+        counts = np.bincount(codes[idx], minlength=n_classes)
+        if (
+            (max_depth is not None and depth >= max_depth)
+            or idx.shape[0] < min_samples_split
+            or np.count_nonzero(counts) <= 1
+        ):
+            return leaf(idx)
+        split = best_split_per_node(x, codes, idx, n_classes, max_features, rng)
+        if split is None:
+            return leaf(idx)
+        f, thr = split
+        node = len(feature)
+        feature.append(f)
+        threshold.append(thr)
+        left.append(-1)
+        right.append(-1)
+        probs.append(np.zeros(n_classes))
+        go_left = x[idx, f] <= thr
+        left[node] = grow(idx[go_left], depth + 1)
+        right[node] = grow(idx[~go_left], depth + 1)
+        return node
+
+    grow(np.arange(n), 0)
+    return (
+        np.array(feature, dtype=np.int64),
+        np.array(threshold, dtype=np.float64),
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.vstack(probs),
+    )
+
+
+def forest_fit_per_node(x, codes, n_classes, hp, seed):
+    """Random-forest trees grown one after another, each from its own generator."""
+    n, d = x.shape
+    max_features = max(1, int(np.sqrt(d))) if hp["max_features"] == "sqrt" else hp["max_features"]
+    trees = []
+    for i in range(hp["n_trees"]):
+        rng = np.random.default_rng([seed, i])
+        idx = rng.integers(0, n, size=n) if hp["bootstrap"] else np.arange(n)
+        trees.append(tree_fit_per_node(x[idx], codes[idx], n_classes, hp, max_features, rng))
+    return trees
+
+
+def best_split_per_node(x, codes, idx, n_classes, max_features, rng):
+    """Lowest weighted Gini cost over candidate (feature, midpoint) splits.
+
+    Ties resolve toward the lower threshold, then the lower feature
+    index. All candidate features are scored at once as [m, n] arrays in
+    each feature's stable sort order.
+    """
+    n, d = idx.shape[0], x.shape[1]
+    if max_features is None or max_features >= d:
+        candidates = np.arange(d)
+    else:
+        candidates = np.sort(rng.choice(d, size=max_features, replace=False))
+    rows = np.arange(len(candidates))[:, None]
+    cols = x.T[candidates[:, None], idx]
+    order = cols.argsort(axis=1, kind="stable")
+    xs = cols[rows, order]
+    distinct = xs[:, :-1] != xs[:, 1:]  # [m, n - 1]: boundary after sorted row p
+    if not distinct.any():
+        return None
+    node_codes = codes[idx]
+    ys = node_codes[order]
+    totals = np.bincount(node_codes, minlength=n_classes)
+    starts = totals.cumsum() - totals
+    # Rows grouped by class, in sort order within each class (a radix sort on small codes).
+    by_class = ys.astype(np.min_scalar_type(n_classes)).argsort(axis=1, kind="stable")
+    slot_class = np.repeat(np.arange(n_classes), totals)
+    rank = np.empty_like(by_class)
+    rank[rows, by_class] = np.arange(n) - starts[slot_class]
+    # S_l grows by 2 * rank + 1 per row; S_r = sum T^2 - 2 sum_c T_c L_c + S_l.
+    s_left = (2 * rank + 1).cumsum(axis=1)[:, :-1]
+    s_right = totals @ totals - 2 * totals[ys].cumsum(axis=1)[:, :-1] + s_left
+    # n * cost from the exact S_l and S_r is off by a few ulp, and so is the
+    # Gini expression below, whose float value sets the tie-breaks. Both
+    # errors are far below 1e-9 * n, so every boundary left off this
+    # shortlist has a larger float cost than the one chosen.
+    nl = np.arange(1.0, n)
+    bound = np.where(distinct, n - s_left / nl - s_right / (n - nl), np.inf)
+    f_i, p_i = np.nonzero(bound <= bound.min() + 1e-9 * n)
+
+    # Left class counts of each shortlisted boundary, from the class-grouped order.
+    keys = ((rows * n_classes + slot_class) * n + by_class).ravel()
+    queries = (f_i[:, None] * n_classes + np.arange(n_classes)) * n + p_i[:, None]
+    left_counts = (np.searchsorted(keys, queries, side="right")
+                   - (f_i[:, None] * n + starts)).astype(float)
+    nl = (p_i + 1).astype(float)
+    nr = n - nl
+    right_counts = totals.astype(float)[None, :] - left_counts
+    gini_l = 1.0 - np.sum((left_counts / nl[:, None]) ** 2, axis=1)
+    gini_r = 1.0 - np.sum((right_counts / nr[:, None]) ** 2, axis=1)
+    cost = (nl * gini_l + nr * gini_r) / n
+    thresholds = 0.5 * (xs[f_i, p_i] + xs[f_i, p_i + 1])
+    j = np.lexsort((thresholds, cost))[0]  # stable: the lower feature wins a full tie
+    return int(candidates[f_i[j]]), thresholds[j]
 
 
 def knn_proba_per_row(train_x, train_codes, n_classes, k, weights, test_x):

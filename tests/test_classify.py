@@ -182,6 +182,16 @@ class TestTreesAndForest:
         probs = forest.predict_proba(fm).rows
         assert set(np.unique(probs)) <= {0.0, 1.0}
 
+    @pytest.mark.parametrize("kind,hyperparams", [("decision_tree", {}),
+                                                  ("random_forest", {"n_trees": 3})])
+    def test_no_features_fit_one_leaf(self, tmp_path, kind, hyperparams):
+        fm = FeatureMatrix((), np.zeros((6, 0)), ("a", "b") * 3)
+        spec = ModelSpec(kind, hyperparams)
+        _assert_same_bytes(spec, fm, 0, tmp_path)
+        model = fit(spec, fm)
+        trees = model.impl.trees if kind == "random_forest" else [model.impl]
+        assert all(t.feature.tolist() == [-1] for t in trees)
+
     def test_max_depth_limits_tree(self, rng):
         fm = _blobs(rng, n_per_class=50, separation=0.5)
         stump = fit(ModelSpec("decision_tree", {"max_depth": 1}), fm)
@@ -201,48 +211,121 @@ def _tie_heavy_node(rng):
     return x, codes, idx, n_classes, max_features
 
 
-def _split_bits(split):
-    return None if split is None else (split[0], np.float64(split[1]).tobytes())
+def _tie_heavy_batch(rng):
+    """A batch of split-search nodes over one ``_tie_heavy_node`` matrix.
+
+    Each node comes from its own tree (a bootstrap or the identity sample,
+    with its own generator) and holds a sorted subset of >= 2 positions.
+    """
+    x, codes, idx, n_classes, max_features = _tie_heavy_node(rng)
+    n = x.shape[0]
+    samples, positions = [idx], []
+    for t in range(int(rng.integers(1, 7))):
+        if t:
+            samples.append(rng.integers(0, n, size=n) if rng.random() < 0.5 else np.arange(n))
+        size = n if rng.random() < 0.4 else int(rng.integers(2, n + 1))
+        positions.append(np.sort(rng.choice(n, size=size, replace=False)))
+    return x, codes, np.array(samples), positions, n_classes, max_features
+
+
+def _best_splits(x, codes, samples, positions, n_classes, max_features, rngs):
+    """Score one node per tree with one batched call, drawing as the grower does."""
+    n, d = samples.shape[1], x.shape[1]
+    sample = classify._Sample(x, samples, codes, n_classes)
+    pos = np.concatenate([t * n + p for t, p in enumerate(positions)])
+    totals = np.array([np.bincount(codes[s[p]], minlength=n_classes)
+                       for s, p in zip(samples, positions)])
+    sizes = totals.sum(axis=1)
+    candidates = np.array([classify._candidates(d, max_features, r) for r in rngs])
+    feature, threshold, left = classify._best_splits(sample, pos, sizes.cumsum() - sizes,
+                                                     totals, candidates)
+    return [None if f < 0 else (int(f), thr.tobytes()) for f, thr in zip(feature, threshold)]
+
+
+def _oracle_model(spec, fm, seed):
+    """The model that the recursive per-node grower fits, for byte comparison."""
+    class_ids, codes = np.unique(np.asarray(fm.labels), return_inverse=True)
+    args = (fm.values, codes, len(class_ids), spec.hyperparams)
+    if spec.kind == "decision_tree":
+        impl = classify._Tree(*oracles.tree_fit_per_node(*args))
+    else:
+        impl = classify._Forest([classify._Tree(*arrays)
+                                 for arrays in oracles.forest_fit_per_node(*args, seed)])
+    return classify.TrainedModel(spec, tuple(map(str, class_ids)), fm.feature_names, impl, seed)
+
+
+def _assert_same_bytes(spec, fm, seed, tmp_path):
+    save_model(fit(spec, fm, seed=seed), tmp_path / "lockstep.bin")
+    save_model(_oracle_model(spec, fm, seed), tmp_path / "per_node.bin")
+    assert (tmp_path / "lockstep.bin").read_bytes() == (tmp_path / "per_node.bin").read_bytes()
 
 
 class TestSplitSearchOracle:
-    """The batched split search picks the per-feature search's split, bit for bit."""
+    """The lockstep grower and its batched split search keep the per-node bits."""
 
-    def test_matches_per_feature_search_on_tie_heavy_nodes(self):
+    def test_batches_match_per_feature_search_on_tie_heavy_nodes(self):
         rng = np.random.default_rng(2005)
-        for case in range(300):
-            x, codes, idx, n_classes, max_features = _tie_heavy_node(rng)
-            seed = int(rng.integers(2**31))
-            ref_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            expected = oracles.best_split_per_feature(x, codes, idx, n_classes, max_features,
-                                                      ref_rng)
-            got = classify._best_split(x, codes, idx, n_classes, max_features, new_rng)
-            assert _split_bits(got) == _split_bits(expected), case
-            assert new_rng.bit_generator.state == ref_rng.bit_generator.state, case
+        for case in range(150):
+            x, codes, samples, positions, n_classes, max_features = _tie_heavy_batch(rng)
+            seeds = rng.integers(2**31, size=len(positions))
+            ref_rngs = [np.random.default_rng(s) for s in seeds]
+            new_rngs = [np.random.default_rng(s) for s in seeds]
+            expected = []
+            for sample, p, r in zip(samples, positions, ref_rngs):
+                split = oracles.best_split_per_feature(x, codes, sample[p], n_classes,
+                                                       max_features, r)
+                expected.append(None if split is None
+                                else (split[0], np.float64(split[1]).tobytes()))
+            got = _best_splits(x, codes, samples, positions, n_classes, max_features, new_rngs)
+            assert got == expected, case
+            for a, b in zip(new_rngs, ref_rngs):
+                assert a.bit_generator.state == b.bit_generator.state, case
 
-    def test_all_constant_candidates_still_draw(self):
+    def test_every_node_of_a_step_constant(self, tmp_path):
         x = np.ones((6, 4))
-        a, b = np.random.default_rng(1), np.random.default_rng(1)
-        assert classify._best_split(x, np.arange(6) % 2, np.arange(6), 2, 2, a) is None
-        b.choice(4, size=2, replace=False)
-        assert a.bit_generator.state == b.bit_generator.state
+        codes = np.arange(6) % 2
+        samples = np.array([np.arange(6), [0, 1, 1, 2, 4, 5], [5, 4, 3, 2, 1, 0]])
+        positions = [np.arange(6), np.array([0, 1, 3]), np.array([2, 3, 4, 5])]
+        got = [np.random.default_rng(s) for s in range(3)]
+        ref = [np.random.default_rng(s) for s in range(3)]
+        assert _best_splits(x, codes, samples, positions, 2, 2, got) == [None] * 3
+        for a, b in zip(got, ref):
+            b.choice(4, size=2, replace=False)
+            assert a.bit_generator.state == b.bit_generator.state
+        # Every tree's root is such a node: each tree is one leaf.
+        fm = FeatureMatrix(("a", "b", "c", "d"), x, ("s0", "s1") * 3)
+        spec = ModelSpec("random_forest", {"n_trees": 4})
+        _assert_same_bytes(spec, fm, 3, tmp_path)
+        assert all(t.feature.tolist() == [-1] for t in fit(spec, fm, seed=3).impl.trees)
 
     @pytest.mark.parametrize("kind,hyperparams", [
         ("decision_tree", {}),
+        ("decision_tree", {"max_depth": 3, "min_samples_split": 10}),
         ("random_forest", {"n_trees": 6}),
         ("random_forest", {"n_trees": 3, "max_features": 1, "bootstrap": False}),
+        ("random_forest", {"n_trees": 4, "max_features": None}),
     ])
-    def test_fits_save_the_per_feature_bytes(self, tmp_path, monkeypatch, kind, hyperparams):
+    @pytest.mark.parametrize("chunk", [1 << 18, 200])
+    def test_fits_save_the_per_feature_bytes(self, tmp_path, monkeypatch, kind, hyperparams,
+                                             chunk):
+        # 200 elements split most steps into runs of one or two nodes.
+        monkeypatch.setattr(classify, "_SPLIT_CHUNK_ELEMENTS", chunk)
         rng = np.random.default_rng(11)
         x = rng.integers(-3, 4, size=(120, 6)) * 0.5
         x[:, 4] = 2.0
         labels = tuple(f"s{c}" for c in rng.integers(0, 7, size=120))
         fm = FeatureMatrix(tuple(f"f{i}" for i in range(6)), x, labels)
-        spec = ModelSpec(kind, hyperparams)
-        save_model(fit(spec, fm, seed=5), tmp_path / "batched.bin")
-        monkeypatch.setattr(classify, "_best_split", oracles.best_split_per_feature)
-        save_model(fit(spec, fm, seed=5), tmp_path / "per_feature.bin")
-        assert (tmp_path / "batched.bin").read_bytes() == (tmp_path / "per_feature.bin").read_bytes()
+        _assert_same_bytes(ModelSpec(kind, hyperparams), fm, 5, tmp_path)
+
+    def test_wide_forest_keys_past_16_bits(self, tmp_path):
+        # 25 root nodes of 3,000 distinct values: (node, rank) keys exceed 2^16.
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(3000, 4))
+        labels = tuple(f"s{c}" for c in np.digitize(x[:, 0] + 0.3 * x[:, 1], [-0.5, 0.5]))
+        fm = FeatureMatrix(tuple(f"f{i}" for i in range(4)), x, labels)
+        assert 25 * np.unique(x[:, 0]).size > 1 << 16
+        _assert_same_bytes(ModelSpec("random_forest", {"n_trees": 25, "max_depth": 5}), fm, 2,
+                           tmp_path)
 
 
 class TestMlp:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from csibio import clean
 from csibio.clean import (
     iqr_fences,
     iqr_subcarrier_filter,
@@ -140,6 +143,30 @@ class TestMadRepair:
                 med = np.median(w)
                 mad = np.median(np.abs(w - med))
                 assert report.flags[k, t] == (abs(x[t] - med) > 6.0 * mad)
+
+    @pytest.mark.parametrize("cap", [50, 600])
+    def test_blocked_sort_keeps_the_bits(self, rng, monkeypatch, cap):
+        # cap 50 sorts one row a block, 600 two rows; the default sorts all 7 at once.
+        m = random_matrix(rng, 7, 40)
+        vals = np.array(m.values)
+        vals[[1, 4, 6], [20, 3, 39]] *= 30.0
+        spiked = m.with_values(vals)
+        out, report = mad_temporal_repair(spiked, window=9)
+        monkeypatch.setattr(clean, "_MAD_SORT_ELEMENTS", cap)
+        out2, report2 = mad_temporal_repair(spiked, window=9)
+        assert out2.values.tobytes() == out.values.tobytes()
+        assert np.array_equal(report2.flags, report.flags) and report.repaired_count >= 3
+
+    def test_sort_memory_is_bounded(self, rng):
+        # Sorting all [64, 3992, 9] windows at once would take 18 MB a copy.
+        x = rng.random((64, 4000))
+        tracemalloc.start()
+        try:
+            clean._mad_flags(x, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * x.nbytes + clean._MAD_SORT_ELEMENTS * x.itemsize
 
     def test_repair_reduces_max_z(self, rng):
         # Per-subcarrier amplitude z-scores over time: the spike's |z| falls after repair.
