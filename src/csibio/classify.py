@@ -25,8 +25,6 @@ expect pre-standardized inputs; the evaluation harness owns that step.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -122,14 +120,6 @@ class _Knn:
         probs /= probs.sum(axis=1, keepdims=True)
         return probs
 
-    def arrays(self):
-        return {"x": self.x, "codes": self.codes.astype(np.int64)}
-
-    @staticmethod
-    def from_arrays(arrays, hp, n_classes):
-        return _Knn(arrays["x"], arrays["codes"].astype(np.intp), n_classes,
-                    hp["k"], hp["weights"])
-
 
 # --- Gaussian naive Bayes ---------------------------------------------------
 
@@ -143,7 +133,8 @@ class _GaussianNb:
 
     @staticmethod
     def check(hp):
-        pass
+        if hp["var_smoothing"] < 0:
+            raise ValueError("gaussian_nb requires var_smoothing >= 0")
 
     @staticmethod
     def fit(x, codes, n_classes, hp, seed):
@@ -169,13 +160,6 @@ class _GaussianNb:
         log_post -= log_post.max(axis=1, keepdims=True)
         probs = np.exp(log_post)
         return probs / probs.sum(axis=1, keepdims=True)
-
-    def arrays(self):
-        return {"priors": self.priors, "means": self.means, "variances": self.variances}
-
-    @staticmethod
-    def from_arrays(arrays, hp, n_classes):
-        return _GaussianNb(arrays["priors"], arrays["means"], arrays["variances"])
 
 
 # --- CART decision tree -----------------------------------------------------
@@ -215,25 +199,6 @@ class _Tree:
             stack.append((self.left[node], idx[go_left]))
             stack.append((self.right[node], idx[~go_left]))
         return self.probs[out]
-
-    def arrays(self, prefix=""):
-        return {
-            f"{prefix}feature": self.feature,
-            f"{prefix}threshold": self.threshold,
-            f"{prefix}left": self.left,
-            f"{prefix}right": self.right,
-            f"{prefix}probs": self.probs,
-        }
-
-    @staticmethod
-    def from_arrays(arrays, hp, n_classes, prefix=""):
-        return _Tree(
-            arrays[f"{prefix}feature"],
-            arrays[f"{prefix}threshold"],
-            arrays[f"{prefix}left"],
-            arrays[f"{prefix}right"],
-            arrays[f"{prefix}probs"],
-        )
 
     @staticmethod
     def from_nodes(nodes):
@@ -502,17 +467,6 @@ class _Forest:
             acc += tree.predict_proba(x)
         return acc / len(self.trees)
 
-    def arrays(self):
-        out = {"n_trees": np.array([len(self.trees)], dtype=np.int64)}
-        for i, tree in enumerate(self.trees):
-            out.update(tree.arrays(prefix=f"t{i}_"))
-        return out
-
-    @staticmethod
-    def from_arrays(arrays, hp, n_classes):
-        trees = range(int(arrays["n_trees"][0]))
-        return _Forest([_Tree.from_arrays(arrays, hp, n_classes, f"t{i}_") for i in trees])
-
 
 # --- multi-layer perceptron ---------------------------------------------------
 
@@ -586,6 +540,8 @@ class _Mlp:
         if not isinstance(layers, (list, tuple)) or not layers \
                 or not all(_positive_int(h) for h in layers):
             raise ValueError("mlp requires >= 1 hidden layer with integer sizes >= 1")
+        if hp["batch_size"] < 1:
+            raise ValueError("mlp requires batch_size >= 1")
         hp["hidden_layers"] = tuple(int(h) for h in layers)
 
     @staticmethod
@@ -622,23 +578,11 @@ class _Mlp:
         probs, _ = mlp_forward(self.params, x)
         return probs
 
-    def arrays(self):
-        out = {"n_params": np.array([len(self.params)], dtype=np.int64)}
-        for i, p in enumerate(self.params):
-            out[f"p{i}"] = p
-        return out
-
-    @staticmethod
-    def from_arrays(arrays, hp, n_classes):
-        n_params = int(arrays["n_params"][0])
-        return _Mlp([arrays[f"p{i}"] for i in range(n_params)], n_classes)
-
 
 # The one place a model kind is registered. Each class carries its default
 # hyperparameters and the shared interface: check(hp) validates merged
-# hyperparameters in place, fit(x, codes, n_classes, hp, seed) and
-# from_arrays(arrays, hp, n_classes) build an instance, which provides
-# predict_proba(x) and arrays().
+# hyperparameters in place, fit(x, codes, n_classes, hp, seed) builds an
+# instance, and the instance provides predict_proba(x).
 _IMPLS = {
     "knn": _Knn,
     "gaussian_nb": _GaussianNb,
@@ -655,7 +599,6 @@ class TrainedModel:
     class_ids: tuple[str, ...]
     feature_names: tuple[str, ...]
     impl: object
-    seed: int = 0  # the fit seed
 
     def predict_proba(self, matrix: FeatureMatrix) -> ScoreMatrix:
         """Score every row; true labels are carried through from the matrix."""
@@ -673,58 +616,4 @@ def fit(spec: ModelSpec, matrix: FeatureMatrix, seed: int = 0) -> TrainedModel:
     x = matrix.values
     _validate_training(x, codes, len(class_ids))
     impl = _IMPLS[spec.kind].fit(x, codes, len(class_ids), spec.hyperparams, seed)
-    return TrainedModel(spec, tuple(str(c) for c in class_ids), matrix.feature_names, impl, seed)
-
-
-# --- versioned binary container ----------------------------------------------
-
-_MODEL_MAGIC = b"CSIBMDL1"
-
-
-def save_model(model: TrainedModel, path) -> None:
-    """Write a deterministic versioned container: JSON header + raw arrays."""
-    arrays = model.impl.arrays()
-    manifest = []
-    blobs = []
-    for name in arrays:
-        arr = np.ascontiguousarray(arrays[name])
-        dtype = arr.dtype.newbyteorder("<")
-        blobs.append(arr.astype(dtype, copy=False).tobytes())
-        manifest.append({"name": name, "shape": list(arr.shape), "dtype": dtype.str})
-    header = {
-        "format_version": 1,
-        "kind": model.spec.kind,
-        "hyperparams": model.spec.hyperparams,
-        "seed": model.seed,
-        "class_ids": list(model.class_ids),
-        "feature_names": list(model.feature_names),
-        "arrays": manifest,
-    }
-    payload = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(payload)))
-        fh.write(payload)
-        for blob in blobs:
-            fh.write(blob)
-
-
-def load_model(path) -> TrainedModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MODEL_MAGIC))
-        if magic != _MODEL_MAGIC:
-            raise ValueError(f"not a model container: bad magic {magic!r}")
-        (header_len,) = np.frombuffer(fh.read(4), dtype="<u4")
-        header = json.loads(fh.read(int(header_len)).decode())
-        if header["format_version"] != 1:
-            raise ValueError(f"unsupported model format {header['format_version']}")
-        arrays = {}
-        for entry in header["arrays"]:
-            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            dtype = np.dtype(entry["dtype"])
-            raw = fh.read(count * dtype.itemsize)
-            arrays[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"])
-    spec = ModelSpec(header["kind"], header["hyperparams"])
-    impl = _IMPLS[spec.kind].from_arrays(arrays, spec.hyperparams, len(header["class_ids"]))
-    return TrainedModel(spec, tuple(header["class_ids"]), tuple(header["feature_names"]), impl,
-                        header["seed"])
+    return TrainedModel(spec, tuple(str(c) for c in class_ids), matrix.feature_names, impl)

@@ -92,21 +92,6 @@ def _check_samples(n: int, n_labels: int, cfg: MrmrConfig) -> None:
         raise DegenerateInput(f"need at least {cfg.bins} samples for {cfg.bins} bins")
 
 
-def mutual_information(x: np.ndarray, y, cfg: MrmrConfig) -> float:
-    """Plug-in MI estimate (bits) between a real feature and discrete labels.
-
-    Constant features carry no information and return 0.
-    """
-    y_codes = _codes(y)
-    _check_samples(len(x), y_codes.shape[0], cfg)
-    return _discrete_mi(_column_codes(x, cfg), y_codes)
-
-
-def feature_mi(a: np.ndarray, b: np.ndarray, cfg: MrmrConfig) -> float:
-    """MI between two real features, both discretized with the same config."""
-    return _discrete_mi(_column_codes(a, cfg), _column_codes(b, cfg))
-
-
 def mrmr_rank(matrix: FeatureMatrix, y, cfg: MrmrConfig) -> list[RankedFeature]:
     """Greedy minimum-redundancy maximum-relevance ranking of the columns.
 

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from pathlib import Path
 
@@ -50,3 +51,31 @@ def extract_window(m, groups=None):
     groups = groups or features.ALL_GROUPS
     rows, _ = features.extract_all(m.values[None], m.freqs, groups)
     return FeatureRow(zip(features.feature_names(groups), rows[0]))
+
+
+def fitted_digest(model) -> str:
+    """sha256 over a fitted model's class ids, feature names and fitted attributes.
+
+    Walks ``vars()`` recursively: an ndarray feeds its dtype, shape and raw
+    bytes; a list or tuple its length, then each item; an object each
+    attribute name, sorted, then its value; anything else its ``repr``.
+    """
+    h = hashlib.sha256()
+
+    def feed(value):
+        if isinstance(value, np.ndarray):
+            h.update(f"{value.dtype.str}{value.shape}".encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+        elif isinstance(value, (list, tuple)):
+            h.update(f"[{len(value)}]".encode())
+            for item in value:
+                feed(item)
+        elif hasattr(value, "__dict__"):
+            for name in sorted(vars(value)):
+                h.update(f".{name}=".encode())
+                feed(vars(value)[name])
+        else:
+            h.update(f"{value!r};".encode())
+
+    feed((model.class_ids, model.feature_names, model.impl))
+    return h.hexdigest()

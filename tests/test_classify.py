@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import fitted_digest
 from csibio import classify
 from csibio.classify import (
     ModelSpec,
     fit,
-    load_model,
     mlp_init,
     mlp_loss_and_grads,
-    save_model,
     MODEL_KINDS,
 )
 from csibio.errors import DegenerateFeature, SchemaMismatch, SingleClass
@@ -91,23 +90,10 @@ class TestAllModels:
 
     def test_seed_determinism(self, rng, kind, hp):
         fm = _blobs(rng, n_per_class=40)
-        a = fit(ModelSpec(kind, hp), fm, seed=9).predict_proba(fm)
-        b = fit(ModelSpec(kind, hp), fm, seed=9).predict_proba(fm)
-        assert np.array_equal(a.rows, b.rows)
-
-    def test_save_load_round_trip(self, rng, kind, hp, tmp_path):
-        fm = _blobs(rng, n_per_class=25)
-        model = fit(ModelSpec(kind, hp), fm, seed=2)
-        path = tmp_path / "model.bin"
-        save_model(model, path)
-        again = load_model(path)
-        assert again.class_ids == model.class_ids
-        assert np.array_equal(
-            again.predict_proba(fm).rows, model.predict_proba(fm).rows
-        )
-        # Deterministic bytes: writing twice gives identical files.
-        save_model(model, tmp_path / "model2.bin")
-        assert (tmp_path / "model.bin").read_bytes() == (tmp_path / "model2.bin").read_bytes()
+        a = fit(ModelSpec(kind, hp), fm, seed=9)
+        b = fit(ModelSpec(kind, hp), fm, seed=9)
+        assert np.array_equal(a.predict_proba(fm).rows, b.predict_proba(fm).rows)
+        assert fitted_digest(a) == fitted_digest(b)
 
 
 class TestKnn:
@@ -184,10 +170,10 @@ class TestTreesAndForest:
 
     @pytest.mark.parametrize("kind,hyperparams", [("decision_tree", {}),
                                                   ("random_forest", {"n_trees": 3})])
-    def test_no_features_fit_one_leaf(self, tmp_path, kind, hyperparams):
+    def test_no_features_fit_one_leaf(self, kind, hyperparams):
         fm = FeatureMatrix((), np.zeros((6, 0)), ("a", "b") * 3)
         spec = ModelSpec(kind, hyperparams)
-        _assert_same_bytes(spec, fm, 0, tmp_path)
+        _assert_same_fit(spec, fm, 0)
         model = fit(spec, fm)
         trees = model.impl.trees if kind == "random_forest" else [model.impl]
         assert all(t.feature.tolist() == [-1] for t in trees)
@@ -243,7 +229,7 @@ def _best_splits(x, codes, samples, positions, n_classes, max_features, rngs):
 
 
 def _oracle_model(spec, fm, seed):
-    """The model that the recursive per-node grower fits, for byte comparison."""
+    """The model that the recursive per-node grower fits, for digest comparison."""
     class_ids, codes = np.unique(np.asarray(fm.labels), return_inverse=True)
     args = (fm.values, codes, len(class_ids), spec.hyperparams)
     if spec.kind == "decision_tree":
@@ -251,13 +237,11 @@ def _oracle_model(spec, fm, seed):
     else:
         impl = classify._Forest([classify._Tree(*arrays)
                                  for arrays in oracles.forest_fit_per_node(*args, seed)])
-    return classify.TrainedModel(spec, tuple(map(str, class_ids)), fm.feature_names, impl, seed)
+    return classify.TrainedModel(spec, tuple(map(str, class_ids)), fm.feature_names, impl)
 
 
-def _assert_same_bytes(spec, fm, seed, tmp_path):
-    save_model(fit(spec, fm, seed=seed), tmp_path / "lockstep.bin")
-    save_model(_oracle_model(spec, fm, seed), tmp_path / "per_node.bin")
-    assert (tmp_path / "lockstep.bin").read_bytes() == (tmp_path / "per_node.bin").read_bytes()
+def _assert_same_fit(spec, fm, seed):
+    assert fitted_digest(fit(spec, fm, seed=seed)) == fitted_digest(_oracle_model(spec, fm, seed))
 
 
 class TestSplitSearchOracle:
@@ -281,7 +265,7 @@ class TestSplitSearchOracle:
             for a, b in zip(new_rngs, ref_rngs):
                 assert a.bit_generator.state == b.bit_generator.state, case
 
-    def test_every_node_of_a_step_constant(self, tmp_path):
+    def test_every_node_of_a_step_constant(self):
         x = np.ones((6, 4))
         codes = np.arange(6) % 2
         samples = np.array([np.arange(6), [0, 1, 1, 2, 4, 5], [5, 4, 3, 2, 1, 0]])
@@ -295,7 +279,7 @@ class TestSplitSearchOracle:
         # Every tree's root is such a node: each tree is one leaf.
         fm = FeatureMatrix(("a", "b", "c", "d"), x, ("s0", "s1") * 3)
         spec = ModelSpec("random_forest", {"n_trees": 4})
-        _assert_same_bytes(spec, fm, 3, tmp_path)
+        _assert_same_fit(spec, fm, 3)
         assert all(t.feature.tolist() == [-1] for t in fit(spec, fm, seed=3).impl.trees)
 
     @pytest.mark.parametrize("kind,hyperparams", [
@@ -306,8 +290,7 @@ class TestSplitSearchOracle:
         ("random_forest", {"n_trees": 4, "max_features": None}),
     ])
     @pytest.mark.parametrize("chunk", [1 << 18, 200])
-    def test_fits_save_the_per_feature_bytes(self, tmp_path, monkeypatch, kind, hyperparams,
-                                             chunk):
+    def test_fits_save_the_per_feature_bytes(self, monkeypatch, kind, hyperparams, chunk):
         # 200 elements split most steps into runs of one or two nodes.
         monkeypatch.setattr(classify, "_SPLIT_CHUNK_ELEMENTS", chunk)
         rng = np.random.default_rng(11)
@@ -315,17 +298,16 @@ class TestSplitSearchOracle:
         x[:, 4] = 2.0
         labels = tuple(f"s{c}" for c in rng.integers(0, 7, size=120))
         fm = FeatureMatrix(tuple(f"f{i}" for i in range(6)), x, labels)
-        _assert_same_bytes(ModelSpec(kind, hyperparams), fm, 5, tmp_path)
+        _assert_same_fit(ModelSpec(kind, hyperparams), fm, 5)
 
-    def test_wide_forest_keys_past_16_bits(self, tmp_path):
+    def test_wide_forest_keys_past_16_bits(self):
         # 25 root nodes of 3,000 distinct values: (node, rank) keys exceed 2^16.
         rng = np.random.default_rng(23)
         x = rng.normal(size=(3000, 4))
         labels = tuple(f"s{c}" for c in np.digitize(x[:, 0] + 0.3 * x[:, 1], [-0.5, 0.5]))
         fm = FeatureMatrix(tuple(f"f{i}" for i in range(4)), x, labels)
         assert 25 * np.unique(x[:, 0]).size > 1 << 16
-        _assert_same_bytes(ModelSpec("random_forest", {"n_trees": 25, "max_depth": 5}), fm, 2,
-                           tmp_path)
+        _assert_same_fit(ModelSpec("random_forest", {"n_trees": 25, "max_depth": 5}), fm, 2)
 
 
 class TestMlp:

@@ -437,6 +437,9 @@ class TestConfigErrors:
         ("mlp", {"max_epochs": True}, "'max_epochs'"),
         ("mlp", {"patience": "20"}, "'patience'"),
         ("mlp", {"learning_rate": "0.1"}, "'learning_rate'"),
+        # Well typed but out of range: rejected before any data is read.
+        ("mlp", {"batch_size": 0}, "batch_size >= 1"),
+        ("gaussian_nb", {"var_smoothing": -1}, "var_smoothing >= 0"),
     ])
     def test_mistyped_hyperparam_exits_2(self, tmp_path, capsys, kind, hyperparams, needle,
                                          print_config):

@@ -1,8 +1,8 @@
 """Byte-level golden pins for one small fixed scenario.
 
 Every digest below was computed once and is compared exactly, so a
-change that shifts any reported number, any CSV byte or any saved model
-byte fails here. Run-to-run determinism is tested elsewhere; these pins
+change that shifts any reported number, any CSV byte or any fitted model
+array fails here. Run-to-run determinism is tested elsewhere; these pins
 also hold across refactors. Pins were recorded with Python 3.11 and
 numpy 2.4.6; a different numpy or BLAS may legitimately change the
 floating-point digests.
@@ -14,8 +14,9 @@ import json
 import numpy as np
 import pytest
 
+from conftest import fitted_digest
 from csibio import harness, ingest, synth
-from csibio.classify import MODEL_KINDS, ModelSpec, fit, save_model
+from csibio.classify import MODEL_KINDS, ModelSpec, fit
 from csibio.cli import main
 from csibio.model import FeatureMatrix
 
@@ -97,12 +98,13 @@ REPORT_SHA = {
 # run_result.json without its generated_at line
 RUN_RESULT_SHA = "bc50f72f23e9a2a949a415e6705a177bdd41fadb1bd7f54c2233f39c6c7bf7f4"
 FEATURES_CSV_SHA = "7f36925f38f4f42361a5a95ac6c9557e36360f2a7c38e55494265453bd3923b2"
-MODEL_SHA = {
-    "knn": "530258ab7b377d93442c0c8968ecd18463fb66a1557531d8a25e037a1cf6fba4",
-    "gaussian_nb": "5e7b358b3a951cc7d53613e00100e3595900df30eb1e64109eeebf65c0759616",
-    "decision_tree": "12b483512c611a085713854aeaebdbde7ac564b9557f2e85f5f1575f3ccf9887",
-    "random_forest": "f4c7560a0788c30c63a9f243e5dd46ff9b5093aba50cafb357a23f154d6aa63d",
-    "mlp": "e8ac21646208a3242a1c3f5a48fe8fcdb76d2a537055884164a9dd7936b599a1",
+# conftest.fitted_digest of each default-hyperparameter model on the golden windows
+MODEL_DIGEST = {
+    "knn": "dbf35a468e484caf4dac9f89cfac53ee925b2e7ea44b6e8fdac7c422e4ab12a2",
+    "gaussian_nb": "a59f3454c6db27fc9ccc4c00148184ec88bd203b4c5d8e8bfdec11ba4009dc39",
+    "decision_tree": "93718b993172fa33b69622079ee7cc24f8ccc2235ca538420dcc7c3d9b1ef6cd",
+    "random_forest": "0f3dd83eb7693ae8ef47dfbc46010c214b09d673c07a7651c06137304bf05279",
+    "mlp": "aa1f6b011cf2d5c918e4affe1279c0113eff75a093514cb64c3f8a0aed3e0db1",
 }
 
 
@@ -223,16 +225,13 @@ def test_report_and_feature_csv_bytes(golden):
     assert _sha(root / "feat" / "features.csv") == FEATURES_CSV_SHA
 
 
-def test_saved_model_bytes(golden, tmp_path):
+def test_fitted_model_digests(golden):
     _, dataset = golden
     protocol = harness.protocol_from_dict(PROTOCOL)
     ws = harness.prepare_windows(dataset, protocol)
     values = harness.Scaler.fit(ws.matrix.values).transform(ws.matrix.values)
     matrix = FeatureMatrix(ws.matrix.feature_names, values, ws.matrix.labels)
     assert np.isfinite(values).all()
-    got = {}
-    for kind in MODEL_KINDS:
-        path = tmp_path / f"{kind}.mdl"
-        save_model(fit(ModelSpec(kind), matrix, seed=protocol.seed), path)
-        got[kind] = _sha(path)
-    assert got == MODEL_SHA
+    got = {kind: fitted_digest(fit(ModelSpec(kind), matrix, seed=protocol.seed))
+           for kind in MODEL_KINDS}
+    assert got == MODEL_DIGEST

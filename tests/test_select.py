@@ -1,29 +1,40 @@
 import numpy as np
 import pytest
 
+from csibio import select
 from csibio.errors import DegenerateInput
 from csibio.model import FeatureMatrix
-from csibio.select import MrmrConfig, feature_mi, mrmr_rank, mutual_information
+from csibio.select import MrmrConfig, mrmr_rank
 
 CFG = MrmrConfig(k_select=3, bins=10)
+
+
+def _relevance(x, y, cfg):
+    """MI (bits) of a real column against labels, as mrmr_rank's relevance."""
+    return select._discrete_mi(select._column_codes(x, cfg), select._codes(y))
+
+
+def _redundancy(a, b, cfg):
+    """MI (bits) of a candidate column against a selected one, as mrmr_rank's redundancy."""
+    return select._discrete_mi(select._column_codes(a, cfg), select._column_codes(b, cfg))
 
 
 class TestMutualInformation:
     def test_perfect_dependence_equals_label_entropy(self):
         y = np.repeat(np.arange(4), 25)
         x = y.astype(float)
-        assert mutual_information(x, y, CFG) == pytest.approx(2.0, abs=1e-12)
+        assert _relevance(x, y, CFG) == pytest.approx(2.0, abs=1e-12)
 
     def test_constant_feature_is_zero(self):
         y = np.array([0, 1] * 10)
-        assert mutual_information(np.ones(20), y, CFG) == 0.0
+        assert _relevance(np.ones(20), y, CFG) == 0.0
 
     def test_independent_noise_small(self):
         rng = np.random.default_rng(11)
         n = 10000
         y = rng.integers(0, 4, n)
         x = rng.normal(0, 1, n)
-        mi = mutual_information(x, y, CFG)
+        mi = _relevance(x, y, CFG)
         assert 0.0 <= mi < 0.05
         # Cross-check against an independent plug-in estimator.
         edges = np.quantile(x, np.linspace(0, 1, 11)[1:-1])
@@ -46,24 +57,26 @@ class TestMutualInformation:
         rng = np.random.default_rng(5)
         y = rng.integers(0, 3, 400)
         x = y + rng.normal(0, 0.2, 400)
-        mi = mutual_information(x, y, CFG)
+        mi = _relevance(x, y, CFG)
         p = np.bincount(y) / 400
         h_y = -np.sum(p * np.log2(p))
         assert 0.0 <= mi <= h_y + 1e-12
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(DegenerateInput):
-            mutual_information(np.ones(5), np.zeros(6), CFG)
+        fm = FeatureMatrix(("a", "b"), np.ones((5, 2)), ("0",) * 5)
+        with pytest.raises(DegenerateInput, match="equal length"):
+            mrmr_rank(fm, np.arange(6) % 2, CFG)
 
     def test_too_few_samples_rejected(self):
-        with pytest.raises(DegenerateInput):
-            mutual_information(np.arange(5.0), np.zeros(5), CFG)
+        fm = FeatureMatrix(("a", "b"), np.arange(10.0).reshape(5, 2), ("0",) * 5)
+        with pytest.raises(DegenerateInput, match="at least 10 samples"):
+            mrmr_rank(fm, np.arange(5) % 2, CFG)
 
     def test_equal_width_binning(self):
         cfg = MrmrConfig(k_select=1, bins=4, binning="equal_width")
         y = np.repeat([0, 1], 20)
         x = np.concatenate([np.zeros(20), np.ones(20) * 3.0])
-        assert mutual_information(x, y, cfg) == pytest.approx(1.0, abs=1e-12)
+        assert _relevance(x, y, cfg) == pytest.approx(1.0, abs=1e-12)
 
 
 def _feature_matrix(columns: dict[str, np.ndarray], labels):
@@ -121,7 +134,7 @@ class TestMrmrRank:
         ranking = mrmr_rank(fm, np.array(fm.labels), cfg)
 
         labels = np.array(fm.labels)
-        relevance = {n: mutual_information(cols[n], labels, cfg) for n in cols}
+        relevance = {n: _relevance(cols[n], labels, cfg) for n in cols}
         selected = []
         for step in range(3):
             best_name, best_key, best_red = None, None, None
@@ -129,7 +142,7 @@ class TestMrmrRank:
                 if name in selected:
                     continue
                 red = (
-                    np.mean([feature_mi(cols[name], cols[s], cfg) for s in selected])
+                    np.mean([_redundancy(cols[name], cols[s], cfg) for s in selected])
                     if selected
                     else 0.0
                 )
@@ -145,7 +158,7 @@ class TestMrmrRank:
     def test_bruteforce_case_has_an_asymmetric_pair(self):
         cols, _ = self._bruteforce_columns(3)
         cfg = MrmrConfig(k_select=3)
-        assert feature_mi(cols["c"], cols["a"], cfg) != feature_mi(cols["a"], cols["c"], cfg)
+        assert _redundancy(cols["c"], cols["a"], cfg) != _redundancy(cols["a"], cols["c"], cfg)
 
     def test_k_select_one(self):
         y = np.repeat([0, 1], 30)
