@@ -13,11 +13,10 @@ lower feature indices.
 
 A decision tree is the one-tree case of the forest's grower, which grows
 every tree in lockstep: each step takes the next node that needs a split
-from each tree's own depth-first stack (every such node of a tree that
-draws no candidates) and scores them all in one segmented split search.
-Nodes are sorted by each column's dense value rank, computed once per
-fit, so no node argsorts its values, and each tree's draws keep the order
-of a tree grown alone.
+from each tree's own depth-first stack and scores them all in one
+segmented split search. Nodes are sorted by each column's dense value
+rank, computed once per fit, so no node argsorts its values; each tree's
+nodes are born, and its draws made, in the preorder of a tree grown alone.
 
 Models that need scale-comparable features (knn, gaussian_nb, mlp)
 expect pre-standardized inputs; the evaluation harness owns that step.
@@ -30,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateFeature, SchemaMismatch, SingleClass
+from .errors import DegenerateFeature, Diverged, SchemaMismatch, SingleClass
 from .model import JSON_TYPES, FeatureMatrix, ScoreMatrix
 
 @dataclass(frozen=True)
@@ -180,6 +179,8 @@ class _Tree:
     def check(hp):
         if hp["max_depth"] is not None and not _positive_int(hp["max_depth"]):
             raise ValueError("max_depth must be an integer >= 1 or None for unlimited")
+        if hp["min_samples_split"] < 2:
+            raise ValueError("min_samples_split must be an integer >= 2")
 
     @staticmethod
     def fit(x, codes, n_classes, hp, seed):
@@ -204,30 +205,16 @@ class _Tree:
     def from_nodes(nodes):
         """Build from [feature, threshold, left, right, class counts] node records.
 
-        Nodes are renumbered to depth-first preorder; a leaf's probabilities
-        are its class shares, and an inner node's are zero.
+        The records are in depth-first preorder; a leaf's probabilities are
+        its class shares, and an inner node's are zero.
         """
-        order, stack = [], [0]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            if nodes[node][0] >= 0:
-                stack += [nodes[node][3], nodes[node][2]]
-        renumber = np.empty(len(nodes) + 1, dtype=np.int64)
-        renumber[order] = np.arange(len(nodes))
-        renumber[-1] = -1  # a leaf's -1 child stays -1
-        feature, threshold, left, right, counts = zip(*(nodes[node] for node in order))
+        feature, threshold, left, right, counts = zip(*nodes)
         feature = np.array(feature, dtype=np.int64)
         counts = np.array(counts)
         probs = counts / counts.sum(axis=1, keepdims=True)
         probs[feature >= 0] = 0.0
-        return _Tree(
-            feature,
-            np.array(threshold, dtype=np.float64),
-            renumber[np.array(left, dtype=np.int64)],
-            renumber[np.array(right, dtype=np.int64)],
-            probs,
-        )
+        return _Tree(feature, np.array(threshold, dtype=np.float64),
+                     np.array(left, dtype=np.int64), np.array(right, dtype=np.int64), probs)
 
 
 class _Sample:
@@ -264,18 +251,16 @@ _SPLIT_CHUNK_ELEMENTS = 1 << 18
 def _grow(x, codes, n_classes, hp, samples, max_features, rngs):
     """Grow one tree per row of ``samples`` (training rows), all trees in lockstep.
 
-    Each tree pops its own depth-first stack, making leaves on the way. A
-    tree that draws candidate features (``max_features`` < d) stops at the
-    first node that needs a split, so its rng draws in the preorder of a
-    tree grown alone; a tree without draws takes its whole stack. One
+    Each step, each tree pops its own depth-first stack up to the first node
+    that needs a split, making leaves on the way. A node is recorded when it
+    is popped and its children are pushed before the next step, so records
+    and rng draws come in the preorder of a tree grown alone. One
     ``_best_splits`` call scores the step's nodes (a few calls when they
-    exceed ``_SPLIT_CHUNK_ELEMENTS``), and each tree's nodes are
-    renumbered to depth-first preorder at the end.
+    exceed ``_SPLIT_CHUNK_ELEMENTS``).
     """
     max_depth, min_samples_split = hp["max_depth"], hp["min_samples_split"]
     n_trees, n = samples.shape
     d = x.shape[1]
-    draws = max_features is not None and max_features < d
     sample = _Sample(x, samples, codes, n_classes)
     trees = [[] for _ in range(n_trees)]
     # A stack entry: (flat positions, depth, class counts, parent node, slot in its record).
@@ -297,8 +282,7 @@ def _grow(x, codes, n_classes, hp, samples, max_features, rngs):
                 ):
                     continue
                 batch.append((t, len(nodes) - 1, pos, depth, counts))
-                if draws:
-                    break
+                break
         if not batch:
             return [_Tree.from_nodes(nodes) for nodes in trees]
         candidates = np.array([_candidates(d, max_features, rngs[t]) for t, *_ in batch])
@@ -540,8 +524,11 @@ class _Mlp:
         if not isinstance(layers, (list, tuple)) or not layers \
                 or not all(_positive_int(h) for h in layers):
             raise ValueError("mlp requires >= 1 hidden layer with integer sizes >= 1")
-        if hp["batch_size"] < 1:
-            raise ValueError("mlp requires batch_size >= 1")
+        for name in ("batch_size", "max_epochs", "patience"):
+            if hp[name] < 1:
+                raise ValueError(f"mlp requires {name} >= 1")
+        if not hp["learning_rate"] > 0:
+            raise ValueError("mlp requires learning_rate > 0")
         hp["hidden_layers"] = tuple(int(h) for h in layers)
 
     @staticmethod
@@ -554,16 +541,21 @@ class _Mlp:
         batch = min(hp["batch_size"], n)
         best_loss = np.inf
         stale = 0
-        for _epoch in range(hp["max_epochs"]):
+        for epoch in range(hp["max_epochs"]):
             order = rng.permutation(n)
-            for start in range(0, n, batch):
-                idx = order[start : start + batch]
-                _, grads = mlp_loss_and_grads(params, x[idx], codes[idx], n_classes)
-                for p, v, g in zip(params, velocity, grads):
-                    v *= hp["momentum"]
-                    v -= hp["learning_rate"] * g
-                    p += v
-            loss, _ = mlp_loss_and_grads(params, x, codes, n_classes)
+            # A diverging epoch overflows quietly here and is caught below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start in range(0, n, batch):
+                    idx = order[start : start + batch]
+                    _, grads = mlp_loss_and_grads(params, x[idx], codes[idx], n_classes)
+                    for p, v, g in zip(params, velocity, grads):
+                        v *= hp["momentum"]
+                        v -= hp["learning_rate"] * g
+                        p += v
+                loss, _ = mlp_loss_and_grads(params, x, codes, n_classes)
+            if not (np.isfinite(loss) and all(np.isfinite(p).all() for p in params)):
+                raise Diverged(f"mlp training diverged in epoch {epoch + 1}: non-finite "
+                               "loss or parameters (try a smaller learning_rate)")
             model.loss_curve.append(loss)
             if loss < best_loss - hp["tol"]:
                 best_loss = loss

@@ -99,6 +99,10 @@ class SchemaMismatch(PipelineError):
     """Prediction-time feature schema differs from training schema."""
 
 
+class Diverged(PipelineError):
+    """Training reached a non-finite loss or parameter."""
+
+
 # --- metrics --------------------------------------------------------------
 
 class DegenerateClass(PipelineError):

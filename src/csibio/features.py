@@ -51,8 +51,7 @@ def _sample_std(x: np.ndarray) -> np.ndarray:
 
 def _mean_spread(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean over the last axis and the n-1 normalized spread of ``x`` about it."""
-    mean = x.mean(axis=-1)
-    return mean, np.sqrt(np.sum((x - mean[..., None]) ** 2, axis=-1) / (x.shape[-1] - 1))
+    return x.mean(axis=-1), _sample_std(x)
 
 
 def _entropy_bits(p: np.ndarray) -> np.ndarray:

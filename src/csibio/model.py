@@ -204,6 +204,8 @@ class ScoreMatrix:
         if rows.shape[0] != len(self.true_labels):
             raise ValueError("row count must equal label count")
         if rows.size:
+            if not np.isfinite(rows).all():
+                raise ValueError("probabilities must be finite")
             if rows.min() < -PROBABILITY_ATOL or rows.max() > 1 + PROBABILITY_ATOL:
                 raise ValueError("probabilities must lie in [0, 1]")
             sums = rows.sum(axis=1)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from csibio.classify import MODEL_KINDS
 from csibio.cli import main
 from csibio.synth import bundled_scenario, scenario_to_dict
 from pcap_util import write_csi_capture
@@ -20,6 +21,10 @@ def _small_scenario_file(tmp_path, **kw) -> Path:
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario_to_dict(scenario)))
     return path
+
+
+REPORT_FILES = ("metrics_summary.csv", "gini.csv", "bioquake.csv", "eer_per_class.csv",
+                "fcs_histogram.csv", "feature_ranking.csv", "run_result.json")
 
 
 def _protocol_file(tmp_path, **overrides) -> Path:
@@ -221,6 +226,30 @@ class TestEvaluateCommand:
         assert main(["evaluate", str(dataset_dir), "--config", str(cfg), "--out", str(out)]) == 1
         err = _one_json_error_line(capsys.readouterr().err)
         assert err["error"] == "ValueError"
+        assert not (out / "run_result.json").exists()
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_every_model_kind_runs(self, dataset_dir, tmp_path, capsys, kind):
+        small = {"random_forest": {"n_trees": 5}, "mlp": {"hidden_layers": [8], "max_epochs": 20}}
+        cfg = _protocol_file(tmp_path, models=[{"kind": kind, "hyperparams": small.get(kind, {})}],
+                             audit=False)
+        out = tmp_path / "rep"
+        assert main(["evaluate", str(dataset_dir), "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        for name in REPORT_FILES:
+            assert (out / name).exists(), name
+
+    def test_diverging_mlp_exits_1(self, tmp_path, capsys):
+        scenario = _small_scenario_file(tmp_path, n_samples=500)
+        data = tmp_path / "ds"
+        assert main(["synth", "--scenario", str(scenario), "--out", str(data)]) == 0
+        mlp = {"kind": "mlp", "hyperparams": {"learning_rate": 1e6, "max_epochs": 50}}
+        cfg = _protocol_file(tmp_path, models=[mlp], audit=False)
+        out = tmp_path / "rep"
+        capsys.readouterr()
+        assert main(["evaluate", str(data), "--config", str(cfg), "--out", str(out)]) == 1
+        err = _one_json_error_line(capsys.readouterr().err)
+        assert err["error"] == "Diverged"
         assert not (out / "run_result.json").exists()
 
     def test_library_run_matches_cli_under_one_seed(self, dataset_dir, tmp_path, capsys):
@@ -440,6 +469,12 @@ class TestConfigErrors:
         # Well typed but out of range: rejected before any data is read.
         ("mlp", {"batch_size": 0}, "batch_size >= 1"),
         ("gaussian_nb", {"var_smoothing": -1}, "var_smoothing >= 0"),
+        ("mlp", {"max_epochs": 0}, "max_epochs >= 1"),
+        ("mlp", {"patience": 0}, "patience >= 1"),
+        ("mlp", {"learning_rate": -0.5}, "learning_rate > 0"),
+        ("mlp", {"learning_rate": 0}, "learning_rate > 0"),
+        ("random_forest", {"min_samples_split": -3}, "min_samples_split must be an integer >= 2"),
+        ("decision_tree", {"min_samples_split": 1}, "min_samples_split must be an integer >= 2"),
     ])
     def test_mistyped_hyperparam_exits_2(self, tmp_path, capsys, kind, hyperparams, needle,
                                          print_config):

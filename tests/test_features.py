@@ -155,6 +155,14 @@ class TestTemporal:
         vals, _ = run_group(temporal_features, m)
         assert vals["temporal_variability_mean"] == pytest.approx(np.sqrt(2) / 2)
 
+    def test_shared_amplitude_series_spread_exactly_zero(self):
+        # All 64 subcarriers share one series (std about 0.1), so the spread of
+        # their stds is an exact 0, not the mean's rounding residue.
+        series = np.where(np.arange(50) % 2 == 0, 1.2, 1.0)
+        vals, _ = run_group(temporal_features, _matrix_from_amps(np.tile(series, (64, 1))))
+        assert vals["temporal_variability_mean"] > 0
+        assert vals["temporal_variability_std"] == 0.0
+
 
 class TestStability:
     def test_static_zero(self):

@@ -101,6 +101,11 @@ class TestScoreMatrix:
         with pytest.raises(ValueError):
             ScoreMatrix(("a", "b"), np.array([[1.5, -0.5]]), ("a",))
 
+    @pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_non_finite_probabilities_rejected(self, row):
+        with pytest.raises(ValueError, match="finite"):
+            ScoreMatrix(("a", "b"), [row], ("a",))
+
     def test_concatenate_preserves_order(self):
         a = ScoreMatrix(("x", "y"), np.array([[1.0, 0.0]]), ("x",))
         b = ScoreMatrix(("x", "y"), np.array([[0.0, 1.0]]), ("y",))
