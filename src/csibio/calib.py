@@ -63,12 +63,22 @@ def unwrap_phase(phases: np.ndarray) -> np.ndarray:
     Works along axis 0, so a 1-D profile and a [K, T] matrix (one profile
     per column) take the same code. Consecutive differences of the output
     lie in (-pi, pi]; the first element is preserved and every element
-    stays congruent to the input modulo 2*pi.
+    stays congruent to the input modulo 2*pi. Consecutive input
+    differences must lie in [-3*pi, 3*pi), as those of principal values
+    do; anything else (NaN included) raises ValueError.
     """
     phases = np.asarray(phases, dtype=np.float64)
-    d = np.diff(phases, axis=0)
-    wrapped = np.mod(d + np.pi, TWO_PI) - np.pi
-    wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
+    u = np.diff(phases, axis=0) + np.pi
+    if u.size and not (u.min() >= -TWO_PI and u.max() < 2 * TWO_PI):
+        raise ValueError("unwrap_phase needs consecutive differences in [-3*pi, 3*pi)")
+    # On [-2*pi, 4*pi), np.mod(u, 2*pi) is u + 2*pi for u < 0 and fmod's
+    # exact u - 2*pi for u >= 2*pi: one conditional shift gives its bits.
+    shift = (u < 0).astype(np.float64)
+    shift -= u >= TWO_PI
+    shift *= TWO_PI
+    u += shift
+    wrapped = u - np.pi
+    wrapped[wrapped == -np.pi] = np.pi
     out = np.empty_like(phases)
     out[0] = phases[0]
     np.cumsum(wrapped, axis=0, out=out[1:])
@@ -113,7 +123,16 @@ def calibrate(m: CsiMatrix, cfo_scope: str = "per_sample") -> tuple[CsiMatrix, C
     rotated, offsets = remove_cfo(m, scope=cfo_scope)
     detrended, slopes, intercepts = detrend_phase(unwrap_phase(rotated.phase()))
     out_phase = normalize_phase(detrended)
-    calibrated = m.with_values(rotated.amplitude() * np.exp(1j * out_phase))
+    amp = rotated.amplitude()
+    values = np.empty(amp.shape, dtype=np.complex128)
+    # amp * exp(1j * phase), part by part: exp's parts are cos and sin, and
+    # only a zero product can differ from the complex one, in its sign.
+    np.multiply(amp, np.cos(out_phase), out=values.real)
+    np.multiply(amp, np.sin(out_phase), out=values.imag)
+    zero = (values.real == 0) | (values.imag == 0)
+    if zero.any():
+        values[zero] = amp[zero] * np.exp(1j * out_phase[zero])
+    calibrated = m.with_values(values)
     report = CalibReport(
         cfo_offset_removed=offsets,
         trend_slope=slopes,

@@ -40,6 +40,10 @@ class CorruptHeader(PipelineError):
     """Portable CSI header describes a matrix write_portable never writes."""
 
 
+class NonFiniteSample(PipelineError):
+    """Portable CSI payload holds a NaN or infinite sample, which write_portable refuses."""
+
+
 class ManifestMismatch(PipelineError):
     """A dataset manifest is malformed or an entry disagrees with its file's header."""
 

@@ -12,7 +12,9 @@ The portable format is this package's own interchange file: an 8-byte
 magic ``CSIPORT1``, a fixed little-endian header (version, hand,
 sample index, K, T, uniform frequency grid, subject id), then K*T
 interleaved float64 (real, imag) pairs, row-major by subcarrier.
-Writing is deterministic and reading reproduces values bit-exactly.
+Writing is deterministic and reading reproduces values bit-exactly;
+a NaN or infinite sample is refused both ways, so preprocessing only
+ever sees finite values.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (BadMagic, CorruptHeader, LengthMismatch, ManifestMismatch, NoCsiFrames,
-                     UnsupportedVersion)
+                     NonFiniteSample, UnsupportedVersion)
 from .model import CsiMatrix, Dataset, Hand, SubjectLabel, validate_matrix
 
 DEFAULT_CENTER_HZ = 5.18e9
@@ -125,7 +127,7 @@ def parse_pcap(src: PcapSource) -> CsiMatrix:
     path = Path(src.path)
     data = path.read_bytes()
 
-    columns: list[np.ndarray] = []
+    samples: list[bytes] = []  # the CSI bytes of each accepted frame
     chanspec: int | None = None
     truncated = 0
     wrong_k = 0
@@ -146,9 +148,7 @@ def parse_pcap(src: PcapSource) -> CsiMatrix:
             continue
         data_len = len(payload) - CSI_HEADER_LEN
         if data_len == expected_bytes:
-            raw = np.frombuffer(payload, dtype="<i2", offset=CSI_HEADER_LEN)
-            pairs = raw.astype(np.float64).reshape(-1, 2)
-            columns.append(pairs[:, 0] + 1j * pairs[:, 1])
+            samples.append(payload[CSI_HEADER_LEN:])
             if chanspec is None:
                 chanspec = struct.unpack_from("<H", payload, CSI_CHANSPEC_OFFSET)[0]
         elif data_len % 4 == 0 and data_len > 0:
@@ -156,7 +156,7 @@ def parse_pcap(src: PcapSource) -> CsiMatrix:
         else:
             truncated += 1
 
-    if not columns:
+    if not samples:
         raise NoCsiFrames(
             f"{path}: no accepted CSI frames "
             f"(truncated={truncated}, wrong_subcarriers={wrong_k}, non_csi={non_csi})"
@@ -165,8 +165,11 @@ def parse_pcap(src: PcapSource) -> CsiMatrix:
     decoded = decode_chanspec(chanspec) if chanspec is not None else None
     center, bw = decoded if decoded else (DEFAULT_CENTER_HZ, DEFAULT_BANDWIDTH_HZ)
     freqs = subcarrier_freqs(src.expected_subcarriers, center, bw)
+    # One decode for all frames: each (real, imag) int16 pair becomes one complex128.
+    raw = np.frombuffer(b"".join(samples), dtype="<i2").astype(np.float64)
+    values = raw.view(np.complex128).reshape(len(samples), src.expected_subcarriers).T.copy()
     return CsiMatrix(
-        values=np.column_stack(columns),
+        values=values,
         freqs=freqs,
         meta={
             "source": str(path),
@@ -247,9 +250,11 @@ def read_portable(path) -> tuple[CsiMatrix, SubjectLabel]:
         raise CorruptHeader(f"{path}: subject id is empty")
     values = np.frombuffer(data, dtype="<c16", offset=offset).reshape(k, t)
     matrix = CsiMatrix(values=values, freqs=f0 + df * np.arange(k), meta={"source": str(path)})
-    problems = validate_matrix(matrix, allow_nan=True)  # the shape and grid write_portable checks
+    problems = validate_matrix(matrix)  # everything write_portable checks
     if problems:
-        raise CorruptHeader(f"{path}: {'; '.join(problems)}")
+        # validate_matrix lists a non-finite entry last: it leads only under a sound header.
+        error = NonFiniteSample if problems[0].startswith("non-finite-entry") else CorruptHeader
+        raise error(f"{path}: {'; '.join(problems)}")
     label = SubjectLabel(subject, sample_index, _HAND_FROM_CODE.get(hand_code, Hand.UNSPECIFIED))
     return matrix, label
 

@@ -89,12 +89,10 @@ class CsiMatrix:
         return replace(self, values=values)
 
 
-def validate_matrix(m: CsiMatrix, allow_nan: bool = False) -> list[str]:
+def validate_matrix(m: CsiMatrix) -> list[str]:
     """Check every CsiMatrix invariant; return one descriptor per violation.
 
     Total function: never raises, an empty list means the matrix is valid.
-    ``allow_nan`` relaxes the finiteness check for freshly ingested data
-    that has not passed the cleaning stage yet.
     """
     violations: list[str] = []
     k, t = m.values.shape
@@ -109,11 +107,10 @@ def validate_matrix(m: CsiMatrix, allow_nan: bool = False) -> list[str]:
     if not np.all(np.isfinite(m.freqs)):
         bad = int(np.argmax(~np.isfinite(m.freqs)))
         violations.append(f"non-finite-freq at index {bad}")
-    if not allow_nan:
-        finite = np.isfinite(m.values.real) & np.isfinite(m.values.imag)
-        if not finite.all():
-            bad_k, bad_t = np.argwhere(~finite)[0]
-            violations.append(f"non-finite-entry at ({int(bad_k)},{int(bad_t)})")
+    finite = np.isfinite(m.values.real) & np.isfinite(m.values.imag)
+    if not finite.all():
+        bad_k, bad_t = np.argwhere(~finite)[0]
+        violations.append(f"non-finite-entry at ({int(bad_k)},{int(bad_t)})")
     return violations
 
 

@@ -8,7 +8,9 @@ taken, so agreement is meaningful evidence. The classifier references
 are instead the code that the batched versions replaced, compared byte
 for byte: the per-feature split search, the recursive per-node tree
 grower with its split search over all candidate features at once, and
-the per-row knn vote.
+the per-row knn vote. So are the preprocessing references: the rolling
+MAD by two sorts per window, the per-row np.interp repair, and the
+per-frame pcap decode.
 """
 
 from __future__ import annotations
@@ -471,3 +473,87 @@ def knn_proba_per_row(train_x, train_codes, n_classes, k, weights, test_x):
             np.add.at(probs[i], train_codes[idx], 1.0)
         probs[i] /= probs[i].sum()
     return probs
+
+
+# --- preprocessing references -----------------------------------------------------
+
+MAD_FACTOR = 6.0
+_MAD_SORT_ELEMENTS = 1 << 19
+
+
+def mad_flags_sorted(x, window):
+    """The rolling median and MAD by sorting every window twice, in row blocks."""
+    n = x.shape[-1]
+    half = window // 2
+    # Position t uses the window starting at clamp(t - half, 0, n - window).
+    starts = np.clip(np.arange(n) - half, 0, n - window)
+    flags = np.empty(x.shape, dtype=bool)
+    step = max(1, _MAD_SORT_ELEMENTS // ((n - window + 1) * window))
+    # One buffer holds each block's windows, sorted in place: first the
+    # values, then their absolute deviations from the median.
+    buf = np.empty((min(step, x.shape[0]), n - window + 1, window))
+    for i in range(0, x.shape[0], step):
+        rows = x[i : i + step]
+        view = np.lib.stride_tricks.sliding_window_view(rows, window, axis=-1)
+        block = buf[: view.shape[0]]
+        block[...] = view
+        block.sort(axis=-1)
+        med = block[..., half].copy()
+        np.subtract(view, med[..., None], out=block)
+        np.abs(block, out=block)
+        block.sort(axis=-1)
+        flags[i : i + step] = np.abs(rows - med[:, starts]) > MAD_FACTOR * block[:, starts, half]
+    return flags
+
+
+def _interpolate_flagged(x, flagged):
+    """Replace flagged entries by np.interp between valid neighbors, clamped at the edges."""
+    valid = np.flatnonzero(~flagged)
+    out = x.copy()
+    bad = np.flatnonzero(flagged)
+    out[bad] = np.interp(bad, valid, x[valid])
+    return out
+
+
+def mad_repair_per_row(values, flags):
+    """Phase-preserving amplitude repair, one np.interp call per flagged row.
+
+    ``flags`` must leave at least one valid sample in every row it flags.
+    """
+    amps = np.abs(values)
+    values = np.array(values)
+    for k in np.flatnonzero(flags.any(axis=1)):
+        x = amps[k]
+        repaired = _interpolate_flagged(x, flags[k])
+        idx = np.flatnonzero(flags[k])
+        old = x[idx]
+        scale = np.where(old > 0, repaired[idx] / np.where(old > 0, old, 1.0), 0.0)
+        values[k, idx] = np.where(old > 0, values[k, idx] * scale, repaired[idx] + 0j)
+    return values
+
+
+def parse_pcap_per_frame(src):
+    """parse_pcap's (values, skip counts), decoding each accepted frame on its own."""
+    from csibio.ingest import CSI_HEADER_LEN, CSI_MAGIC, _iter_udp_payloads
+
+    with open(src.path, "rb") as fh:
+        payloads = list(_iter_udp_payloads(fh.read(), src.udp_port))
+    columns = []
+    skipped = {"skipped_truncated": 0, "skipped_wrong_subcarriers": 0, "skipped_non_csi": 0}
+    for payload in payloads:
+        if not payload.startswith(CSI_MAGIC):
+            skipped["skipped_non_csi"] += 1
+            continue
+        if len(payload) < CSI_HEADER_LEN:
+            skipped["skipped_truncated"] += 1
+            continue
+        data_len = len(payload) - CSI_HEADER_LEN
+        if data_len == 4 * src.expected_subcarriers:
+            raw = np.frombuffer(payload, dtype="<i2", offset=CSI_HEADER_LEN)
+            pairs = raw.astype(np.float64).reshape(-1, 2)
+            columns.append(pairs[:, 0] + 1j * pairs[:, 1])
+        elif data_len % 4 == 0 and data_len > 0:
+            skipped["skipped_wrong_subcarriers"] += 1
+        else:
+            skipped["skipped_truncated"] += 1
+    return (np.column_stack(columns) if columns else None), skipped

@@ -74,6 +74,23 @@ class TestUnwrap:
         assert out[0] == x[0]
         assert np.allclose(np.angle(np.exp(1j * (out - x))), 0.0, atol=1e-9)
 
+    def test_bits_match_the_mod_wrap(self, rng):
+        edges = [np.pi, -np.pi, 0.0, -0.0, np.pi, np.pi, -np.pi, -np.pi, 1e-300, -1e-300,
+                 np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0), 3.0 - 2 * np.pi, 2.0]
+        x = np.concatenate([rng.uniform(-np.pi, np.pi, 100_000), edges])
+        wrapped = np.mod(np.diff(x) + np.pi, 2 * np.pi) - np.pi
+        wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
+        expected = np.empty_like(x)
+        expected[0] = x[0]
+        np.cumsum(wrapped, out=expected[1:])
+        expected[1:] += x[0]
+        assert unwrap_phase(x).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("x", [[0.0, 10.0], [5.0, -5.0], [0.0, np.nan]])
+    def test_differences_beyond_three_pi_rejected(self, x):
+        with pytest.raises(ValueError, match="3\\*pi"):
+            unwrap_phase(np.array(x))
+
 
 class TestDetrend:
     def test_pure_line_removed(self):
@@ -158,6 +175,18 @@ class TestCalibrate:
         calibrated, _ = calibrate(m)
         rel = np.abs(np.abs(calibrated.values) - np.abs(m.values)) / np.abs(m.values)
         assert np.max(rel) <= 1e-12
+
+    def test_output_bits_are_amplitude_times_exp(self, rng):
+        # Rebuilt from cos and sin; zero amplitudes keep the complex product's signed zeros.
+        m = random_matrix(rng, 12, 40)
+        vals = np.array(m.values)
+        vals[3] = 0.0
+        vals[7, ::3] = 0.0
+        m = m.with_values(vals)
+        rotated, _ = remove_cfo(m)
+        phase = normalize_phase(detrend_phase(unwrap_phase(rotated.phase()))[0])
+        expected = rotated.amplitude() * np.exp(1j * phase)
+        assert calibrate(m)[0].values.tobytes() == expected.tobytes()
 
     def test_idempotence(self):
         m = _flat_phase_channel(cfo=0.3, sfo=0.004, k=32, t=5)

@@ -13,6 +13,7 @@ from csibio.clean import (
 from csibio.errors import TooFewSubcarriersRemain, WindowTooLarge
 from csibio.model import CsiMatrix
 from conftest import random_matrix
+from oracles import mad_flags_sorted, mad_repair_per_row
 
 
 def _matrix_from_amps(amps):
@@ -144,21 +145,22 @@ class TestMadRepair:
                 mad = np.median(np.abs(w - med))
                 assert report.flags[k, t] == (abs(x[t] - med) > 6.0 * mad)
 
-    @pytest.mark.parametrize("cap", [50, 600])
+    @pytest.mark.parametrize("cap", [50, 700])
     def test_blocked_sort_keeps_the_bits(self, rng, monkeypatch, cap):
-        # cap 50 sorts one row a block, 600 two rows; the default sorts all 7 at once.
+        # A row takes 340 scratch elements here: cap 50 runs one row a block,
+        # 700 two rows; the default runs all 7 at once.
         m = random_matrix(rng, 7, 40)
         vals = np.array(m.values)
         vals[[1, 4, 6], [20, 3, 39]] *= 30.0
         spiked = m.with_values(vals)
         out, report = mad_temporal_repair(spiked, window=9)
-        monkeypatch.setattr(clean, "_MAD_SORT_ELEMENTS", cap)
+        monkeypatch.setattr(clean, "_MAD_BLOCK_ELEMENTS", cap)
         out2, report2 = mad_temporal_repair(spiked, window=9)
         assert out2.values.tobytes() == out.values.tobytes()
         assert np.array_equal(report2.flags, report.flags) and report.repaired_count >= 3
 
     def test_sort_memory_is_bounded(self, rng):
-        # Sorting all [64, 3992, 9] windows at once would take 18 MB a copy.
+        # Scratch for all 64 rows at once would take 17 MB.
         x = rng.random((64, 4000))
         tracemalloc.start()
         try:
@@ -166,7 +168,7 @@ class TestMadRepair:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * x.nbytes + clean._MAD_SORT_ELEMENTS * x.itemsize
+        assert peak <= 2 * x.nbytes + clean._MAD_BLOCK_ELEMENTS * x.itemsize
 
     def test_repair_reduces_max_z(self, rng):
         # Per-subcarrier amplitude z-scores over time: the spike's |z| falls after repair.
@@ -181,3 +183,45 @@ class TestMadRepair:
         spiked = m.with_values(vals)
         repaired, _ = mad_temporal_repair(spiked, window=9)
         assert max_abs_z(repaired) < max_abs_z(spiked)
+
+
+class TestMadOracles:
+    """The selection-network flags and the batched repair against the code they replaced."""
+
+    @pytest.mark.parametrize("window", range(3, 32, 2))
+    def test_flags_match_sorting_reference(self, rng, window):
+        for n in (window, window + 1, window + 2, 2 * window + 3, 200):
+            for levels in (2, 4, 50):
+                # Integer grids: tie-heavy windows, many with a zero MAD.
+                x = rng.integers(0, levels, (6, n)).astype(float)
+                spikes = rng.random((6, n)) < 0.05
+                x[spikes] += rng.integers(10, 100, int(spikes.sum()))
+                x[5] = 3.0
+                assert np.array_equal(clean._mad_flags(x, window), mad_flags_sorted(x, window))
+            x = rng.gamma(2.0, 1.0, (4, n)) * np.where(rng.random((4, n)) < 0.03, 40.0, 1.0)
+            assert np.array_equal(clean._mad_flags(x, window), mad_flags_sorted(x, window))
+
+    def test_batched_repair_matches_per_row_interp(self, rng, monkeypatch):
+        k, n = 8, 30
+        freqs = 5.18e9 + 312_500.0 * np.arange(k)
+        for _ in range(10):
+            vals = rng.uniform(0.5, 2.0, (k, n)) * np.exp(1j * rng.uniform(-np.pi, np.pi, (k, n)))
+            vals[2, 5:9] = 0.0  # zero amplitudes: repaired values get zero phase
+            vals[6, [0, 3]] = 0.0  # zero amplitudes as interpolation anchors
+            flags = rng.random((k, n)) < 0.2
+            flags[0, :4] = True  # a leading run clamps to the first valid sample
+            flags[1, -5:] = True  # a trailing run clamps to the last
+            flags[2, 4:10] = True
+            flags[3] = True  # all flagged: left untouched
+            flags[4] = False
+            flags[4, [0, n - 1]] = True
+            flags[5] = True
+            flags[5, 17] = False  # a single valid sample
+            flags[6, 1:3] = True
+            monkeypatch.setattr(clean, "_mad_flags", lambda x, w, f=flags: f.copy())
+            out, report = mad_temporal_repair(CsiMatrix(vals, freqs), window=3)
+            cleared = flags.copy()
+            cleared[3] = False
+            assert report.untouched_subcarriers == (3,)
+            assert np.array_equal(report.flags, cleared)
+            assert out.values.tobytes() == mad_repair_per_row(vals, cleared).tobytes()

@@ -2,6 +2,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from csibio.classify import MODEL_KINDS
@@ -575,6 +576,27 @@ def test_dataset_manifest_mismatch_exits_1(dataset_dir, tmp_path, capsys):
     err = _one_json_error_line(capsys.readouterr().err)
     assert err["error"] == "ManifestMismatch"
     assert manifest["records"][0]["file"] in err["detail"]
+    assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize("preprocess", [None, {"calibrate": False, "iqr_filter": False}],
+                         ids=["default", "raw"])
+@pytest.mark.parametrize("sample", [complex("nan"), complex("inf")], ids=["nan", "inf"])
+def test_non_finite_sample_exits_1_naming_file(dataset_dir, tmp_path, capsys, preprocess, sample):
+    # Before it was rejected on read, such a sample reached preprocessing:
+    # a misleading IQR error, or RuntimeWarnings on stderr ahead of the JSON line.
+    name = json.loads((dataset_dir / "manifest.json").read_text())["records"][3]["file"]
+    path = dataset_dir / name
+    path.write_bytes(path.read_bytes()[:-16] + np.array([sample], dtype="<c16").tobytes())
+    args = ["features", str(dataset_dir), "--window-size", "40", "--out", str(tmp_path / "f")]
+    if preprocess is not None:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"preprocess": preprocess}))
+        args += ["--config", str(cfg)]
+    assert main(args) == 1
+    err = _one_json_error_line(capsys.readouterr().err)
+    assert err["error"] == "NonFiniteSample"
+    assert err["detail"] == f"{path}: non-finite-entry at (15,159)"
     assert not (tmp_path / "f").exists()
 
 

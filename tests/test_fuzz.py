@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from csibio.errors import CsiBioError
 from csibio.ingest import PORTABLE_MAGIC, PcapSource, parse_pcap, read_portable, write_portable
 from csibio.model import CsiMatrix, SubjectLabel, validate_matrix
+from oracles import parse_pcap_per_frame
 from pcap_util import csi_payload, udp_packet
 
 DOCUMENTED = (CsiBioError, ValueError, OSError)
@@ -39,7 +40,10 @@ def _rarely(draw) -> bool:
 def _frame(draw, subcarriers):
     if draw(st.booleans()):  # a CSI payload, mostly of the expected width
         k = draw(st.sampled_from([0, 1, 63, 65, 128])) if _rarely(draw) else subcarriers
-        payload = csi_payload([(1, -1)] * k, chanspec=draw(st.integers(0, 0xFFFF)))
+        base = draw(st.integers(0, 0xFFFF))  # samples differ by frame, subcarrier and part
+        pairs = [((base + i) % 0x10000 - 0x8000, (base - 3 * i) % 0x10000 - 0x8000)
+                 for i in range(k)]
+        payload = csi_payload(pairs, chanspec=draw(st.integers(0, 0xFFFF)))
         if _rarely(draw):
             payload = payload[: draw(st.integers(0, len(payload)))] + draw(st.binary(max_size=6))
     elif draw(st.booleans()):
@@ -75,9 +79,13 @@ def _pcap_bytes(draw, subcarriers):
 def test_parse_pcap_raises_only_documented_errors(tmp_path, data, subcarriers):
     path = tmp_path / "fuzz.pcap"
     path.write_bytes(data.draw(_pcap_bytes(subcarriers)))
-    m = _read_or_documented_error(parse_pcap, PcapSource(str(path), 5500, subcarriers))
+    src = PcapSource(str(path), 5500, subcarriers)
+    m = _read_or_documented_error(parse_pcap, src)
     if m is not None:
         assert m.values.shape[0] == subcarriers and m.n_samples >= 1
+        values, skipped = parse_pcap_per_frame(src)
+        assert m.values.tobytes() == values.tobytes()
+        assert {key: m.meta[key] for key in skipped} == skipped
 
 
 def _valid_portable(tmp_path) -> bytes:
@@ -119,4 +127,4 @@ def test_read_portable_raises_only_documented_errors(tmp_path, data):
     path.write_bytes(data.draw(_portable_bytes(_valid_portable(tmp_path))))
     read = _read_or_documented_error(read_portable, path)
     if read is not None:
-        assert validate_matrix(read[0], allow_nan=True) == []
+        assert validate_matrix(read[0]) == []

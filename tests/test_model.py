@@ -36,11 +36,6 @@ class TestValidateMatrix:
         violations = validate_matrix(_matrix(vals))
         assert violations == ["non-finite-entry at (1,2)"]
 
-    def test_nan_tolerated_before_cleaning(self):
-        vals = np.ones((3, 3), dtype=complex)
-        vals[0, 0] = np.nan
-        assert validate_matrix(_matrix(vals), allow_nan=True) == []
-
     def test_too_small(self):
         m = _matrix(np.ones((1, 2)), freqs=np.array([5.18e9]))
         assert any("too-few-subcarriers" in v for v in validate_matrix(m))
