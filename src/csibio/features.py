@@ -84,12 +84,15 @@ def subcarrier_energy(amps: np.ndarray) -> np.ndarray:
 
 
 class WindowBatch(NamedTuple):
-    """N windows with |H|, its angle and their time averages, each computed once."""
+    """N windows with |H|, its angle and their per-subcarrier time statistics,
+    each computed once."""
 
     amps: np.ndarray  # |H|, [N, K, W]
     phases: np.ndarray  # angle of H, [N, K, W]
     energies: np.ndarray  # E(f_k), [N, K]
     spectrum: np.ndarray  # time-averaged magnitude, [N, K]
+    amp_var: np.ndarray  # sample variance of |H| over time, [N, K]
+    phase_std: np.ndarray  # sample std of the angle over time, [N, K]
     freqs: np.ndarray  # subcarrier centre frequencies in Hz, [K]
 
     @property
@@ -114,7 +117,9 @@ def window_batch(values: np.ndarray, freqs: np.ndarray) -> WindowBatch:
             f"values must be [N, K, W] with K == len(freqs), got {values.shape} and {freqs.shape}"
         )
     amps = np.abs(values)
-    return WindowBatch(amps, np.angle(values), subcarrier_energy(amps), amps.mean(axis=-1), freqs)
+    phases = np.angle(values)
+    return WindowBatch(amps, phases, subcarrier_energy(amps), amps.mean(axis=-1),
+                       _sample_var(amps), _sample_std(phases), freqs)
 
 
 # Each group maps a WindowBatch to (feature name -> float[N], flag name -> bool[N]).
@@ -122,7 +127,7 @@ def window_batch(values: np.ndarray, freqs: np.ndarray) -> WindowBatch:
 def amplitude_features(b: WindowBatch):
     """Moments of |H|: grand mean, cross-subcarrier spread, skew, kurtosis."""
     _require(b.n_subcarriers >= 2 and b.n_samples >= 2, "need K >= 2 and T >= 2")
-    amp_var_mean, amp_var_std = _mean_spread(_sample_var(b.amps))
+    amp_var_mean, amp_var_std = _mean_spread(b.amp_var)
     skew, kurt, degenerate = _pop_skew_kurt(b.amps)
     values = {
         "amp_mean": b.spectrum.mean(axis=-1),
@@ -138,7 +143,7 @@ def amplitude_features(b: WindowBatch):
 def phase_features(b: WindowBatch):
     """Phase level and texture: per-subcarrier stds and adjacent-difference stds."""
     _require(b.n_subcarriers >= 3 and b.n_samples >= 2, "need K >= 3 and T >= 2")
-    phase_std_mean, phase_std_std = _mean_spread(_sample_std(b.phases))
+    phase_std_mean, phase_std_std = _mean_spread(b.phase_std)
     dphi_std_mean, dphi_std_std = _mean_spread(_sample_std(np.diff(b.phases, axis=-2)))
     values = {
         "phase_mean_mean": b.phases.mean(axis=(-2, -1)),
@@ -216,7 +221,7 @@ def empirical_energy_features(b: WindowBatch):
     for i in np.flatnonzero(~degenerate):
         reflected[i] = energies[i, above[i]].mean() / mu[i]
         absorbed[i] = energies[i, ~above[i]].mean() / mu[i]
-    refracted = _sample_std(b.phases).mean(axis=-1) / np.pi
+    refracted = b.phase_std.mean(axis=-1) / np.pi
     total = reflected + absorbed + refracted
     values = {
         "energy_reflected_emp": reflected / total,
@@ -229,7 +234,7 @@ def empirical_energy_features(b: WindowBatch):
 def temporal_features(b: WindowBatch):
     """Amplitude fluctuation over time: mean/spread of per-subcarrier stds."""
     _require(b.n_subcarriers >= 2 and b.n_samples >= 2, "need K >= 2 and T >= 2")
-    v_mean, v_std = _mean_spread(_sample_std(b.amps))
+    v_mean, v_std = _mean_spread(np.sqrt(b.amp_var))
     grand_mean = b.amps.mean(axis=(-2, -1))
     moving = grand_mean > EPSILON
     values = {
@@ -247,7 +252,7 @@ def stability_features(b: WindowBatch):
     _require(b.n_subcarriers >= 2 and b.n_samples >= 2, "need K >= 2 and T >= 2")
     mean_k = b.spectrum
     degenerate = mean_k <= EPSILON
-    cv = np.where(degenerate, 0.0, _sample_std(b.amps) / np.where(degenerate, 1.0, mean_k))
+    cv = np.where(degenerate, 0.0, np.sqrt(b.amp_var) / np.where(degenerate, 1.0, mean_k))
     cv_mean, cv_std = _mean_spread(cv)
     values = {"stability_mean_cv": cv_mean, "stability_std_cv": cv_std}
     return values, {"stability:zero_mean_subcarrier": degenerate.any(axis=-1)}

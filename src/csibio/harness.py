@@ -129,21 +129,27 @@ class RecordWindows(NamedTuple):
     label: SubjectLabel
 
 
+def _check_lengths(dataset: Dataset, window_size: int) -> None:
+    """Raise RecordTooShort for the first record shorter than one window."""
+    for record_index, (matrix, label) in enumerate(dataset):
+        if matrix.n_samples < window_size:
+            raise RecordTooShort(
+                f"record {record_index} ({label.subject_id}/sample {label.sample_index}) "
+                f"has T={matrix.n_samples} < window_size={window_size}"
+            )
+
+
 def window_dataset(dataset: Dataset, cfg: ProtocolConfig) -> list[RecordWindows]:
     """Cut every acquisition into windows of ``window_size``, one batch per record.
 
     Default stride equals the window size (non-overlapping); a trailing
     remainder shorter than one window is dropped. Each batch is a strided
-    view of its record: ``prepare_windows`` copies a bounded slice of it at
-    a time into C order, so overlapping windows are never all held at once.
+    view of its record, so overlapping windows are never copied here;
+    ``prepare_windows`` calls this on one preprocessed record at a time.
     """
+    _check_lengths(dataset, cfg.window_size)
     out = []
     for record_index, (matrix, label) in enumerate(dataset):
-        if matrix.n_samples < cfg.window_size:
-            raise RecordTooShort(
-                f"record {record_index} ({label.subject_id}/sample {label.sample_index}) "
-                f"has T={matrix.n_samples} < window_size={cfg.window_size}"
-            )
         view = sliding_window_view(matrix.values, cfg.window_size, axis=1)[:, :: cfg.stride]
         batch = np.moveaxis(view, 1, 0)  # [N, K, W]
         starts = tuple(range(0, matrix.n_samples - cfg.window_size + 1, cfg.stride))
@@ -185,28 +191,38 @@ def _apply_hand_filter(dataset: Dataset, hand_filter: str) -> Dataset:
 _EXTRACT_CHUNK_ELEMENTS = 1 << 18
 
 
+def _record_rows(matrix: CsiMatrix, label: SubjectLabel,
+                 cfg: ProtocolConfig) -> tuple[list[np.ndarray], tuple[int, ...]]:
+    """One record's feature rows and window starts; the processed record dies on return."""
+    (r,) = window_dataset(Dataset(((preprocess_record(matrix, cfg.preprocess), label),)), cfg)
+    step = max(1, _EXTRACT_CHUNK_ELEMENTS // r.values[0].size)
+    rows = [features.extract_all(r.values[i : i + step], r.freqs, cfg.feature_groups)[0]
+            for i in range(0, len(r.values), step)]
+    return rows, r.starts
+
+
 def prepare_windows(dataset: Dataset, cfg: ProtocolConfig) -> WindowSet:
-    """Run the per-record pipeline and extract one feature row per window."""
+    """Run the per-record pipeline and extract one feature row per window.
+
+    Records stream one at a time, so at most one preprocessed record is held.
+    Preprocessing never changes T, so every length is checked before any work.
+    """
     dataset = _apply_hand_filter(dataset, cfg.hand_filter)
     if len(dataset) == 0:
         raise InsufficientData("no records left after the hand filter")
-    processed = Dataset(
-        tuple((preprocess_record(m, cfg.preprocess), lab) for m, lab in dataset)
-    )
-    records = window_dataset(processed, cfg)
-    rows = []
-    for r in records:
-        step = max(1, _EXTRACT_CHUNK_ELEMENTS // r.values[0].size)
-        rows += [features.extract_all(r.values[i : i + step], r.freqs, cfg.feature_groups)[0]
-                 for i in range(0, len(r.values), step)]
-    windows = [(r, start) for r in records for start in r.starts]
-    subjects = tuple(r.label.subject_id for r, _ in windows)
+    _check_lengths(dataset, cfg.window_size)
+    rows, windows = [], []  # windows: (label, record index, start) per row
+    for record_index, (matrix, label) in enumerate(dataset):
+        record_rows, starts = _record_rows(matrix, label, cfg)
+        rows += record_rows
+        windows += [(label, record_index, start) for start in starts]
+    labels, record_indices, window_starts = zip(*windows)
     names = features.feature_names(cfg.feature_groups)
     return WindowSet(
-        matrix=FeatureMatrix(names, np.vstack(rows), subjects),
-        sample_indices=tuple(r.label.sample_index for r, _ in windows),
-        record_indices=tuple(r.record_index for r, _ in windows),
-        window_starts=tuple(start for _, start in windows),
+        matrix=FeatureMatrix(names, np.vstack(rows), tuple(lab.subject_id for lab in labels)),
+        sample_indices=tuple(lab.sample_index for lab in labels),
+        record_indices=record_indices,
+        window_starts=window_starts,
     )
 
 

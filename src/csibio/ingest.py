@@ -78,6 +78,9 @@ def subcarrier_freqs(n_subcarriers: int, center_hz: float, bandwidth_hz: float) 
     return center_hz + (k - n_subcarriers / 2) * spacing
 
 
+_UDP_PORT_LEN = struct.Struct(">HH")  # UDP destination port and length
+
+
 def _iter_udp_payloads(data: bytes, port: int):
     """Yield UDP payloads addressed to ``port`` from a classic pcap buffer."""
     if len(data) < 24:
@@ -93,27 +96,30 @@ def _iter_udp_payloads(data: bytes, port: int):
     if linktype != 1:  # Ethernet
         raise BadMagic(f"unsupported linktype {linktype}, only Ethernet captures")
 
+    # Read headers in place and copy only the payload: slicing each frame
+    # and its UDP part into new bytes cost more than the decode.
+    incl_len_at = struct.Struct(endian + "8xI")
+    size = len(data)
     offset = 24
-    while offset + 16 <= len(data):
-        _, _, incl_len, _ = struct.unpack(endian + "IIII", data[offset : offset + 16])
-        offset += 16
-        frame = data[offset : offset + incl_len]
-        offset += incl_len
-        if len(frame) < 14 + 20 + 8:
+    while offset + 16 <= size:
+        (incl_len,) = incl_len_at.unpack_from(data, offset)
+        frame = offset + 16
+        offset = frame + incl_len
+        end = offset if offset < size else size  # the last frame may be cut short
+        if end - frame < 14 + 20 + 8:
             continue
-        if frame[12:14] != b"\x08\x00":  # IPv4 only
+        if data[frame + 12] != 0x08 or data[frame + 13] != 0x00:  # IPv4 only
             continue
-        ihl = (frame[14] & 0x0F) * 4
-        if frame[14 + 9] != 17:  # UDP
+        if data[frame + 14 + 9] != 17:  # UDP
             continue
-        udp = frame[14 + ihl :]
-        if len(udp) < 8:
+        udp = frame + 14 + (data[frame + 14] & 0x0F) * 4
+        if end - udp < 8:
             continue
-        dst_port = struct.unpack(">H", udp[2:4])[0]
+        dst_port, udp_len = _UDP_PORT_LEN.unpack_from(data, udp + 2)
         if dst_port != port:
             continue
-        udp_len = struct.unpack(">H", udp[4:6])[0]
-        yield udp[8 : max(8, udp_len)]
+        stop = udp + udp_len  # a udp_len below 8 leaves the slice empty
+        yield data[udp + 8 : stop if stop < end else end]
 
 
 def parse_pcap(src: PcapSource) -> CsiMatrix:

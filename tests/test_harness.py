@@ -1,9 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from csibio import features, harness
+from csibio import calib, features, harness
 from csibio.classify import ModelSpec
 from csibio.errors import InsufficientData, RecordTooShort
 from csibio.harness import (
@@ -104,6 +105,43 @@ def test_overlapping_windows_extracted_in_bounded_slices(monkeypatch):
     whole = [extract(r.values, r.freqs, cfg.feature_groups)[0]
              for r in window_dataset(processed, cfg)]
     assert np.array_equal(ws.matrix.values, np.vstack(whole))
+
+
+def test_short_record_rejected_before_any_preprocessing(monkeypatch):
+    """A record shorter than one window fails with its global index before calibrate runs."""
+    records = list(generate_dataset(small_scenario(n_subjects=2, samples_per_subject=3)))
+    m, label = records[3]
+    records[3] = (CsiMatrix(values=m.values[:, :40], freqs=m.freqs), label)
+    calls = []
+    calibrate = calib.calibrate
+    monkeypatch.setattr(calib, "calibrate",
+                        lambda *a, **kw: calls.append(1) or calibrate(*a, **kw))
+    with pytest.raises(RecordTooShort) as err:
+        prepare_windows(Dataset(tuple(records)),
+                        ProtocolConfig(window_size=50, hand_filter="pooled"))
+    assert "record 3 " in str(err.value)
+    assert calls == []
+
+
+def test_prepare_windows_holds_one_processed_record():
+    """Peak memory grows by less than two records from 4 to 16 records."""
+    cfg = ProtocolConfig(hand_filter="pooled")
+    dataset = generate_dataset(bundled_scenario(n_subjects=4, samples_per_subject=4))
+    small = Dataset(dataset.records[:4])
+    prepare_windows(small, cfg)  # warm up caches and lazy imports
+    peaks = []
+    tracemalloc.start()
+    try:
+        for d in (small, dataset):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            prepare_windows(d, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    record_bytes = dataset.records[0][0].values.nbytes
+    assert record_bytes == 64 * 500 * 16
+    assert peaks[1] - peaks[0] < 2 * record_bytes, peaks
 
 
 class TestStratifiedKfold:
