@@ -2,13 +2,15 @@
 
 Stages, applied per time sample along the subcarrier axis:
 
-1. constant-offset removal (median phase subtracted, a standard CFO fix),
+1. constant-offset removal (median phase subtracted from the one phase
+   array and wrapped back into (-pi, pi], a standard CFO fix),
 2. unwrapping of the +-pi principal values into a continuous profile,
 3. removal of the least-squares linear trend over subcarrier index
    (absorbs SFO and packet-detection-delay slopes),
 4. mean-centering.
 
-Amplitudes pass through unchanged (to within float rounding); all
+The output is rebuilt from the input's own |H| and the calibrated
+phase, so amplitudes change only by that rebuild's rounding; all
 removed quantities are returned in a CalibReport so synthetic-injection
 tests can check recovery.
 """
@@ -37,24 +39,31 @@ class CalibReport:
 CFO_SCOPES = ("per_sample", "global")
 
 
-def remove_cfo(m: CsiMatrix, scope: str = "per_sample") -> tuple[CsiMatrix, np.ndarray]:
-    """Subtract the median phase bias, rotating each entry on the unit circle.
+def remove_cfo(phases: np.ndarray, scope: str = "per_sample") -> tuple[np.ndarray, np.ndarray]:
+    """Subtract the median phase bias from principal phases ``[K, T]``.
 
     ``scope='per_sample'`` uses one median per time sample (per packet);
     ``scope='global'`` uses a single median over the whole capture.
-    Amplitudes are untouched. Returns the matrix and the removed offset
-    per time sample. The zero-median property of the output assumes the
-    phase spread at each t stays within one wrap of the median.
+    Returns the phases less the offsets, wrapped into (-pi, pi], and the
+    removed offset per time sample. The zero-median property of the
+    output assumes the phase spread at each t stays within one wrap of
+    the median.
     """
-    phases = m.phase()
+    phases = np.asarray(phases, dtype=np.float64)
     if scope == "per_sample":
         offsets = np.median(phases, axis=0)
     elif scope == "global":
-        offsets = np.full(m.n_samples, float(np.median(phases)))
+        offsets = np.full(phases.shape[-1], float(np.median(phases)))
     else:
         raise ValueError(f"unknown scope {scope!r}")
-    rotated = m.values * np.exp(-1j * offsets)[None, :]
-    return m.with_values(rotated), offsets
+    out = phases - offsets
+    # A principal value less a principal offset lies in [-2*pi, 2*pi]:
+    # one conditional 2*pi shift brings it into (-pi, pi].
+    shift = (out <= -np.pi).astype(np.float64)
+    shift -= out > np.pi
+    shift *= TWO_PI
+    out += shift
+    return out, offsets
 
 
 def unwrap_phase(phases: np.ndarray) -> np.ndarray:
@@ -115,15 +124,16 @@ def normalize_phase(phases: np.ndarray) -> np.ndarray:
 def calibrate(m: CsiMatrix, cfo_scope: str = "per_sample") -> tuple[CsiMatrix, CalibReport]:
     """Run the full chain on every time sample of a CSI matrix.
 
-    Output phases are trend-free and zero-mean along k for each t;
-    amplitudes match the input to within float rounding (<= 1e-12
-    relative). Each column goes through the same unwrap, detrend and
-    normalize functions that a single profile does.
+    Output phases are trend-free and zero-mean along k for each t; the
+    output is the input's |H| times exp(1j * phase), so its amplitudes
+    match the input to within float rounding (<= 1e-12 relative). Each
+    column goes through the same unwrap, detrend and normalize functions
+    that a single profile does.
     """
-    rotated, offsets = remove_cfo(m, scope=cfo_scope)
-    detrended, slopes, intercepts = detrend_phase(unwrap_phase(rotated.phase()))
+    phases, offsets = remove_cfo(m.phase(), scope=cfo_scope)
+    detrended, slopes, intercepts = detrend_phase(unwrap_phase(phases))
     out_phase = normalize_phase(detrended)
-    amp = rotated.amplitude()
+    amp = m.amplitude()
     values = np.empty(amp.shape, dtype=np.complex128)
     # amp * exp(1j * phase), part by part: exp's parts are cos and sin, and
     # only a zero product can differ from the complex one, in its sign.

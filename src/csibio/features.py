@@ -65,16 +65,20 @@ def _pop_skew_kurt(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row population skewness and excess kurtosis over the last axis.
 
     Rows with sigma < EPSILON yield (0, 0) and are marked degenerate.
+    The moments are products, not ``pow``: a multiply is exact under
+    negation, so ``-x`` gives exactly ``-skew`` and the same kurtosis.
     """
     mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    sigma = np.sqrt(np.mean(centered**2, axis=-1))
+    d = x - mu
+    d2 = d * d
+    sigma = np.sqrt(np.mean(d2, axis=-1))
     degenerate = sigma < EPSILON
     safe = np.where(degenerate, 1.0, sigma)
-    m3 = np.mean(centered**3, axis=-1)
-    m4 = np.mean(centered**4, axis=-1)
-    skew = np.where(degenerate, 0.0, m3 / safe**3)
-    kurt = np.where(degenerate, 0.0, m4 / safe**4 - 3.0)
+    s2 = safe * safe
+    m3 = np.mean(d2 * d, axis=-1)
+    m4 = np.mean(d2 * d2, axis=-1)
+    skew = np.where(degenerate, 0.0, m3 / (s2 * safe))
+    kurt = np.where(degenerate, 0.0, m4 / (s2 * s2) - 3.0)
     return skew, kurt, degenerate
 
 

@@ -371,13 +371,17 @@ def _cv_scores(
     per_model_scores: dict[str, list[ScoreMatrix]] = {m.name(): [] for m in models}
     per_model_acc: dict[str, list[float]] = {m.name(): [] for m in models}
     audits: list[FoldAudit] = []
+    leaky = cfg.normalization == "global_zscore_leaky"
+    if leaky:  # every fold fits on every row: one fit serves them all
+        all_rows = np.arange(ws.matrix.n_rows)
+        leaky_fit = _scale_and_rank(ws.matrix, cfg, all_rows)
 
     for fold_id, (train_idx, test_idx) in enumerate(folds):
-        if cfg.normalization == "global_zscore_leaky":
-            fit_rows = np.arange(ws.matrix.n_rows)
+        if leaky:
+            fit_rows, (scaler, ranking) = all_rows, leaky_fit
         else:
             fit_rows = train_idx
-        scaler, ranking = _scale_and_rank(ws.matrix, cfg, fit_rows)
+            scaler, ranking = _scale_and_rank(ws.matrix, cfg, fit_rows)
         selected = tuple(r.name for r in ranking)
         audits.append(
             FoldAudit(fold_id, tuple(map(int, fit_rows)), tuple(map(int, test_idx)), selected)

@@ -8,42 +8,53 @@ from csibio.calib import (
     remove_cfo,
     unwrap_phase,
 )
-from csibio.model import CsiMatrix
 from csibio.synth import ChannelSpec, PathComponent, synthesize_matrix
 from conftest import random_matrix
 
 
-def _matrix_with_phase(phases, amps=None):
-    phases = np.asarray(phases, dtype=float)
-    if amps is None:
-        amps = np.ones_like(phases)
-    freqs = 5.18e9 + 312_500.0 * np.arange(phases.shape[0])
-    return CsiMatrix(values=amps * np.exp(1j * phases), freqs=freqs)
+def _rotated_chain(m, scope="per_sample"):
+    """The calibrate that rotated H by exp(-1j*offset) and took its angle again:
+    (phase, amplitude, offsets, slopes)."""
+    phases = m.phase()
+    if scope == "per_sample":
+        offsets = np.median(phases, axis=0)
+    else:
+        offsets = np.full(m.n_samples, float(np.median(phases)))
+    rotated = m.values * np.exp(-1j * offsets)[None, :]
+    detrended, slopes, _ = detrend_phase(unwrap_phase(np.angle(rotated)))
+    return normalize_phase(detrended), np.abs(rotated), offsets, slopes
+
+
+def _mod_two_pi(x):
+    """x folded into [-pi, pi): the distance of a phase difference from a 2*pi multiple."""
+    return np.mod(x + np.pi, 2 * np.pi) - np.pi
 
 
 class TestRemoveCfo:
     def test_constant_offset_removed(self):
-        m = _matrix_with_phase(np.full((5, 3), 0.7))
-        out, offsets = remove_cfo(m)
+        out, offsets = remove_cfo(np.full((5, 3), 0.7))
         assert np.allclose(offsets, 0.7)
-        assert np.max(np.abs(out.phase())) < 1e-12
+        assert np.max(np.abs(out)) < 1e-12
 
     def test_odd_k_median_subtracted(self):
-        phases = np.array([[0.1], [0.2], [0.9]])
-        out, offsets = remove_cfo(_matrix_with_phase(phases))
+        out, offsets = remove_cfo(np.array([[0.1], [0.2], [0.9]]))
         assert offsets[0] == pytest.approx(0.2, abs=1e-15)
-        assert np.allclose(out.phase()[:, 0], [-0.1, 0.0, 0.7], atol=1e-12)
-        assert np.median(out.phase()[:, 0]) == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(out[:, 0], [-0.1, 0.0, 0.7], atol=1e-12)
+        assert np.median(out[:, 0]) == pytest.approx(0.0, abs=1e-12)
 
-    def test_amplitudes_unchanged_on_random_input(self, rng):
-        m = random_matrix(rng, 9, 7)
-        out, _ = remove_cfo(m)
-        rel = np.abs(np.abs(out.values) - np.abs(m.values)) / np.abs(m.values)
-        assert np.max(rel) < 1e-12
+    def test_wrapped_into_principal_range(self, rng):
+        phases = rng.uniform(-np.pi, np.pi, (9, 40))
+        # Medians -pi and pi: an opposite edge lands on +-2*pi and is shifted to 0.
+        phases[:, 0] = [np.pi] + [-np.pi] * 5 + [0.0] * 3
+        phases[:, 1] = [-np.pi] + [np.pi] * 5 + [3.0] * 3
+        out, offsets = remove_cfo(phases)
+        assert np.all(out > -np.pi) and np.all(out <= np.pi)
+        assert np.max(np.abs(_mod_two_pi(out - (phases - offsets)))) < 1e-12
+        assert np.array_equal(out[:, 0], [0.0] * 6 + [np.pi] * 3)
+        assert np.array_equal(out[:, 1], [0.0] * 6 + [3.0 - np.pi] * 3)
 
     def test_global_scope_single_offset(self, rng):
-        m = random_matrix(rng, 5, 4)
-        _, offsets = remove_cfo(m, scope="global")
+        _, offsets = remove_cfo(random_matrix(rng, 5, 4).phase(), scope="global")
         assert np.unique(offsets).size == 1
 
 
@@ -183,10 +194,25 @@ class TestCalibrate:
         vals[3] = 0.0
         vals[7, ::3] = 0.0
         m = m.with_values(vals)
-        rotated, _ = remove_cfo(m)
-        phase = normalize_phase(detrend_phase(unwrap_phase(rotated.phase()))[0])
-        expected = rotated.amplitude() * np.exp(1j * phase)
+        phase = normalize_phase(detrend_phase(unwrap_phase(remove_cfo(m.phase())[0]))[0])
+        expected = m.amplitude() * np.exp(1j * phase)
         assert calibrate(m)[0].values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("scope", ["per_sample", "global"])
+    def test_phase_matches_rotate_then_angle_chain(self, rng, scope):
+        """Offsets subtracted from one phase array: the rotated chain's phase and amplitude."""
+        for k, t in [(12, 40), (64, 100), (3, 5)]:
+            m = random_matrix(rng, k, t)
+            phase = normalize_phase(
+                detrend_phase(unwrap_phase(remove_cfo(m.phase(), scope=scope)[0]))[0]
+            )
+            old_phase, old_amp, old_offsets, old_slopes = _rotated_chain(m, scope)
+            assert np.max(np.abs(_mod_two_pi(phase - old_phase))) < 1e-12
+            calibrated, report = calibrate(m, cfo_scope=scope)
+            assert np.allclose(calibrated.values, old_amp * np.exp(1j * old_phase),
+                               rtol=1e-12, atol=0)
+            assert np.array_equal(report.cfo_offset_removed, old_offsets)
+            assert np.allclose(report.trend_slope, old_slopes, rtol=0, atol=1e-12)
 
     def test_idempotence(self):
         m = _flat_phase_channel(cfo=0.3, sfo=0.004, k=32, t=5)
@@ -199,9 +225,9 @@ class TestCalibrate:
 
         m = random_matrix(rng, 12, 5)
         calibrated, report = calibrate(m)
-        rotated, offsets = remove_cfo(m)
+        phases, _ = remove_cfo(m.phase())
         for t in range(5):
-            unwrapped = up(rotated.phase()[:, t])
+            unwrapped = up(phases[:, t])
             detrended, slope, _ = dp(unwrapped)
             expected = detrended - detrended.mean()
             assert np.allclose(calibrated.phase()[:, t], expected, atol=1e-12)

@@ -4,6 +4,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from csibio.errors import FeatureGroupError, ZeroEnergyWindow, ZeroSpectrum
 from csibio.features import (
+    _pop_skew_kurt,
     extract_all,
     amplitude_features,
     correlation_features,
@@ -31,6 +32,18 @@ def _matrix(values, freqs=None):
 
 def _matrix_from_amps(amps):
     return _matrix(np.asarray(amps, dtype=float).astype(complex))
+
+
+class TestPopSkewKurt:
+    """Moments formed from products are exact under negation (``pow`` is not)."""
+
+    def test_negated_input_negates_skew_and_keeps_kurt_bits(self, rng):
+        x = rng.normal(0.3, 1.7, (400, 50))
+        skew, kurt, degenerate = _pop_skew_kurt(x)
+        neg_skew, neg_kurt, neg_degenerate = _pop_skew_kurt(-x)
+        assert not degenerate.any() and not neg_degenerate.any()
+        assert neg_skew.tobytes() == (-skew).tobytes()
+        assert neg_kurt.tobytes() == kurt.tobytes()
 
 
 class TestAmplitude:

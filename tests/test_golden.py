@@ -4,8 +4,13 @@ Every digest below was computed once and is compared exactly, so a
 change that shifts any reported number, any CSV byte or any fitted model
 array fails here. Run-to-run determinism is tested elsewhere; these pins
 also hold across refactors. Pins were recorded with Python 3.11 and
-numpy 2.4.6; a different numpy or BLAS may legitimately change the
-floating-point digests.
+numpy 2.4.6 on an x86-64 CPU with AVX512; a different numpy or BLAS may
+legitimately change the floating-point digests, and so may a different
+CPU. numpy picks its exp, log, arctan2 (so np.angle) and power loops by
+CPU feature, and its AVX512 loops round some results differently from
+the baseline ones: with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+AVX512_SPR", test_result_digest, test_report_and_feature_csv_bytes and
+test_fitted_model_digests fail.
 """
 
 import hashlib
@@ -93,18 +98,18 @@ REPORT_SHA = {
     "bioquake.csv": "b8b836e15c030675d6b91b3f99f499596bd21447b2a92d7b96f0e23b604cc703",
     "eer_per_class.csv": "b958c4d2811ea0a951359223cbfcefa3478335955c94d964288b81ec0fd86a55",
     "fcs_histogram.csv": "e999deffa6deb3f6b6b9ed07b96f7f2ebcf30d8c6f820b7b1a155e4f1cefa672",
-    "feature_ranking.csv": "5a6d4274d2a9d4cb6a0f862254fbcfe5898907bf5b07ad674fe6dbe1162ec4af",
+    "feature_ranking.csv": "ff536d9022729f008e7accf196197877c43b542ac5dc1b037299f07be50e1369",
 }
 # run_result.json without its generated_at line
 RUN_RESULT_SHA = "bc50f72f23e9a2a949a415e6705a177bdd41fadb1bd7f54c2233f39c6c7bf7f4"
-FEATURES_CSV_SHA = "7f36925f38f4f42361a5a95ac6c9557e36360f2a7c38e55494265453bd3923b2"
+FEATURES_CSV_SHA = "d07da3b4e366ad70b9bdd082a1b08c5fb48b825e9976adc56511ade97841c1f7"
 # conftest.fitted_digest of each default-hyperparameter model on the golden windows
 MODEL_DIGEST = {
-    "knn": "dbf35a468e484caf4dac9f89cfac53ee925b2e7ea44b6e8fdac7c422e4ab12a2",
-    "gaussian_nb": "a59f3454c6db27fc9ccc4c00148184ec88bd203b4c5d8e8bfdec11ba4009dc39",
-    "decision_tree": "93718b993172fa33b69622079ee7cc24f8ccc2235ca538420dcc7c3d9b1ef6cd",
-    "random_forest": "0f3dd83eb7693ae8ef47dfbc46010c214b09d673c07a7651c06137304bf05279",
-    "mlp": "aa1f6b011cf2d5c918e4affe1279c0113eff75a093514cb64c3f8a0aed3e0db1",
+    "knn": "fbd03002d3a2ee137f28e9e0360e923c6f3f4cecde3b9124dc00418c1dce2e93",
+    "gaussian_nb": "68721e9ca229fdd952798946931fcce323d5ae03ed42e75833f453de53d4147e",
+    "decision_tree": "190dd35c75d2ef4d6fde5ae0a5473e20d476820121a51ba670e09d045dc828b4",
+    "random_forest": "37478ce4e45c945fb3cb8aa8aafe30fb1032a8c1a097b1a461687d9c6b869dc7",
+    "mlp": "046b708205101b63781afa23b407fa74c58165c3980e477107fd7c4ebae58ee9",
 }
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from csibio import calib, features, harness
+from csibio import calib, features, harness, select
 from csibio.classify import ModelSpec
 from csibio.errors import InsufficientData, RecordTooShort
 from csibio.harness import (
@@ -210,6 +210,21 @@ class TestRunCv:
         _, _, audits = _cv_scores(ws, cfg, [KNN])
         for audit in audits:
             assert set(audit.test_rows) <= set(audit.fit_rows)
+
+    def test_leaky_mode_ranks_once_for_all_folds(self, small_dataset, monkeypatch):
+        cfg = ProtocolConfig(
+            window_size=50, normalization="global_zscore_leaky", **FAST
+        )
+        ws = prepare_windows(small_dataset, cfg)
+        from csibio.harness import _cv_scores
+
+        calls = []
+        rank = select.mrmr_rank
+        monkeypatch.setattr(select, "mrmr_rank", lambda *a: calls.append(1) or rank(*a))
+        _, _, audits = _cv_scores(ws, cfg, [KNN])
+        assert len(calls) == 1 and len(audits) == len(make_folds(ws, cfg))
+        assert {a.fit_rows for a in audits} == {tuple(range(ws.matrix.n_rows))}
+        assert len({a.selected_features for a in audits}) == 1
 
     def test_each_window_scored_once(self, small_dataset):
         cfg = ProtocolConfig(window_size=50, **FAST)
