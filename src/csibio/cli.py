@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__, harness, ingest, report, synth
 from .classify import ModelSpec
 from .errors import ConfigError, CsiBioError
-from .model import Dataset, SubjectLabel, from_dict
+from .model import SubjectLabel, from_dict
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -133,18 +133,20 @@ def _ingest_plan(args) -> list[tuple[ingest.PcapSource, SubjectLabel | None]]:
 
 
 def _cmd_ingest(args) -> int:
-    records = []
-    for src, label in _ingest_plan(args):
-        path = Path(src.path)
+    plan = [(Path(src.path), src, label) for src, label in _ingest_plan(args)]
+    for path, _, _ in plan:
         if not path.exists():
             raise FileNotFoundError(f"input file not found: {path}")
-        if path.suffix == ".csi":
-            matrix, stored = ingest.read_portable(path)
-            label = label or stored
-        else:
-            matrix = ingest.parse_pcap(src)
-        records.append((matrix, label))
-    manifest = ingest.write_dataset_dir(Dataset(tuple(records)), args.out)
+
+    def records():  # one capture at a time, each written before the next is read
+        for path, src, label in plan:
+            if path.suffix == ".csi":
+                matrix, stored = ingest.read_portable(path)
+                yield matrix, label or stored
+            else:
+                yield ingest.parse_pcap(src), label
+
+    manifest = ingest.write_dataset_dir(records(), args.out)
     print(json.dumps({"records": len(manifest["records"]), "out": str(args.out)}))
     return EXIT_OK
 
@@ -183,11 +185,12 @@ def _cmd_features(args) -> int:
         return _print_json(protocol.to_dict())
     dataset = ingest.read_dataset_dir(args.dataset)
     ws = harness.prepare_windows(dataset, protocol)
+    digest = dataset.digest()  # loads, so checks, the records the hand filter dropped
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "features.csv"
     with open(path, "w", newline="") as fh:
-        fh.write(report.provenance_line(protocol.digest(), dataset.digest(), protocol.seed) + "\n")
+        fh.write(report.provenance_line(protocol.digest(), digest, protocol.seed) + "\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(
             ["record_index", "window_start", "subject_id", "sample_index",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -130,8 +130,8 @@ class RecordWindows(NamedTuple):
 
 
 def _check_lengths(dataset: Dataset, window_size: int) -> None:
-    """Raise RecordTooShort for the first record shorter than one window."""
-    for record_index, (matrix, label) in enumerate(dataset):
+    """Raise RecordTooShort for the first record shorter than one window; loads none."""
+    for record_index, (matrix, label) in enumerate(dataset.records):
         if matrix.n_samples < window_size:
             raise RecordTooShort(
                 f"record {record_index} ({label.subject_id}/sample {label.sample_index}) "
@@ -204,8 +204,9 @@ def _record_rows(matrix: CsiMatrix, label: SubjectLabel,
 def prepare_windows(dataset: Dataset, cfg: ProtocolConfig) -> WindowSet:
     """Run the per-record pipeline and extract one feature row per window.
 
-    Records stream one at a time, so at most one preprocessed record is held.
-    Preprocessing never changes T, so every length is checked before any work.
+    Records stream one at a time: a stored record is read only at its turn, so
+    one raw and one preprocessed record are held. Preprocessing never changes T,
+    so every length is checked, from the headers, before any work.
     """
     dataset = _apply_hand_filter(dataset, cfg.hand_filter)
     if len(dataset) == 0:
@@ -323,6 +324,8 @@ class RunResult:
     config_digest: str
     dataset_digest: str
     seed: int
+    # The scaler of the full-data fit that ranked ``feature_ranking``; not reported.
+    full_scaler: Scaler = field(compare=False, repr=False)
 
     def payload(self) -> dict:
         """Every reported number, keyed as in ``run_result.json``."""
@@ -362,8 +365,11 @@ def _scale_and_rank(matrix: FeatureMatrix, cfg: ProtocolConfig, rows=slice(None)
 
 
 def _cv_scores(
-    ws: WindowSet, cfg: ProtocolConfig, models: list[ModelSpec]
+    ws: WindowSet, cfg: ProtocolConfig, models: list[ModelSpec],
+    full_fit: tuple[Scaler, list[select.RankedFeature]] | None = None,
 ) -> tuple[dict[str, list[ScoreMatrix]], dict[str, list[float]], list[FoldAudit]]:
+    """Cross-validate ``models``; a leaky ``cfg`` fits on every row, reusing ``full_fit``
+    (``_scale_and_rank`` of all rows) when given."""
     names = [m.name() for m in models]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate model names in one run: {names}")
@@ -374,7 +380,7 @@ def _cv_scores(
     leaky = cfg.normalization == "global_zscore_leaky"
     if leaky:  # every fold fits on every row: one fit serves them all
         all_rows = np.arange(ws.matrix.n_rows)
-        leaky_fit = _scale_and_rank(ws.matrix, cfg, all_rows)
+        leaky_fit = full_fit or _scale_and_rank(ws.matrix, cfg, all_rows)
 
     for fold_id, (train_idx, test_idx) in enumerate(folds):
         if leaky:
@@ -406,13 +412,16 @@ def run_cv(dataset: Dataset, cfg: ProtocolConfig, models: list[ModelSpec],
 
     Every window is scored exactly once; pooled scores feed the metric
     battery. A descriptive full-dataset mRMR ranking is attached for
-    plotting (it never feeds any classifier).
+    plotting; it feeds a classifier only under the leaky normalization,
+    whose every fold fits on all rows, and the leakage audit's leaky arm.
     """
     if len(dataset.subject_ids()) < 2:
         raise InsufficientData("need at least two subjects")
     if ws is None:
         ws = prepare_windows(dataset, cfg)
-    per_model_scores, per_model_acc, audits = _cv_scores(ws, cfg, models)
+    dataset_digest = dataset.digest()  # loads, so checks, the records the hand filter dropped
+    scaler, ranking = _scale_and_rank(ws.matrix, cfg)
+    per_model_scores, per_model_acc, audits = _cv_scores(ws, cfg, models, (scaler, ranking))
 
     reports = {}
     pooled = {}
@@ -426,7 +435,6 @@ def run_cv(dataset: Dataset, cfg: ProtocolConfig, models: list[ModelSpec],
             resamples=cfg.bioquake_resamples,
             seed=cfg.seed,
         )
-    _, ranking = _scale_and_rank(ws.matrix, cfg)
     return RunResult(
         reports=reports,
         scores=pooled,
@@ -435,8 +443,9 @@ def run_cv(dataset: Dataset, cfg: ProtocolConfig, models: list[ModelSpec],
         feature_ranking=tuple(ranking),
         leakage_audit=None,
         config_digest=cfg.digest(),
-        dataset_digest=dataset.digest(),
+        dataset_digest=dataset_digest,
         seed=cfg.seed,
+        full_scaler=scaler,
     )
 
 
@@ -459,7 +468,9 @@ def leakage_audit(dataset: Dataset, cfg: ProtocolConfig, model: ModelSpec,
         if result is not None and normalization == cfg.normalization:
             acc = result.fold_accuracies[model.name()]
         else:
-            _, per_model, _ = _cv_scores(ws, replace(cfg, normalization=normalization), [model])
+            full_fit = None if result is None else (result.full_scaler, result.feature_ranking)
+            _, per_model, _ = _cv_scores(ws, replace(cfg, normalization=normalization), [model],
+                                         full_fit)
             acc = per_model[model.name()]
         return float(np.sum(np.asarray(acc) * sizes) / sizes.sum())
 
@@ -501,8 +512,9 @@ def attack_report(dataset: Dataset, cfg: ProtocolConfig, model: ModelSpec,
     genuine_d, attack_d = split_attack(dataset)
     if len(attack_d) == 0:
         raise InsufficientData("dataset contains no attack records")
-    victim = attack_d.records[0][0].meta.get("victim")
-    attack_kind = attack_d.records[0][0].meta.get("attack", "unknown")
+    first_attack, _ = next(iter(attack_d))
+    victim = first_attack.meta.get("victim")
+    attack_kind = first_attack.meta.get("attack", "unknown")
     if genuine_ws is None:
         genuine_ws = prepare_windows(genuine_d, cfg)
     if genuine_result is None:

@@ -19,7 +19,9 @@ ever sees finite values.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +30,8 @@ import numpy as np
 
 from .errors import (BadMagic, CorruptHeader, LengthMismatch, ManifestMismatch, NoCsiFrames,
                      NonFiniteSample, UnsupportedVersion)
-from .model import CsiMatrix, Dataset, Hand, SubjectLabel, validate_matrix
+from .model import (CsiMatrix, Dataset, Hand, SubjectLabel, hash_record, validate_grid,
+                    validate_matrix)
 
 DEFAULT_CENTER_HZ = 5.18e9
 DEFAULT_BANDWIDTH_HZ = 40e6
@@ -218,83 +221,130 @@ def write_portable(m: CsiMatrix, label: SubjectLabel, path) -> None:
         float(step),
         len(subject),
     )
-    payload = np.ascontiguousarray(m.values, dtype="<c16").tobytes()
     with open(path, "wb") as fh:
         fh.write(PORTABLE_MAGIC)
         fh.write(header)
         fh.write(subject)
-        fh.write(payload)
+        fh.write(np.ascontiguousarray(m.values, dtype="<c16"))  # no bytes copy of the record
 
 
-def read_portable(path) -> tuple[CsiMatrix, SubjectLabel]:
-    """Exact inverse of write_portable."""
-    data = Path(path).read_bytes()
-    if data[: len(PORTABLE_MAGIC)] != PORTABLE_MAGIC:
-        raise BadMagic(f"{path}: magic {data[:8]!r} is not {PORTABLE_MAGIC!r}")
-    offset = len(PORTABLE_MAGIC)
-    try:
-        version, hand_code, _, sample_index, k, t, f0, df, id_len = _HEADER_STRUCT.unpack_from(
-            data, offset
-        )
-    except struct.error as exc:
-        raise LengthMismatch(f"{path}: header truncated") from exc
+def _read_header(fh, path) -> tuple[SubjectLabel, int, int, np.ndarray]:
+    """Check a portable file's header against its size; returns (label, K, T, freqs).
+
+    Leaves ``fh`` at the payload; every check but the payload's finiteness is made here.
+    """
+    magic = fh.read(len(PORTABLE_MAGIC))
+    if magic != PORTABLE_MAGIC:
+        raise BadMagic(f"{path}: magic {magic!r} is not {PORTABLE_MAGIC!r}")
+    head = fh.read(_HEADER_STRUCT.size)
+    if len(head) < _HEADER_STRUCT.size:
+        raise LengthMismatch(f"{path}: header truncated")
+    version, hand_code, _, sample_index, k, t, f0, df, id_len = _HEADER_STRUCT.unpack(head)
     if version != PORTABLE_VERSION:
         raise UnsupportedVersion(f"{path}: version {version} > {PORTABLE_VERSION}")
-    offset += _HEADER_STRUCT.size
-    subject = data[offset : offset + id_len]
-    offset += id_len
+    subject = fh.read(id_len)
+    payload = os.fstat(fh.fileno()).st_size - (len(PORTABLE_MAGIC) + _HEADER_STRUCT.size + id_len)
     expected = k * t * 16
-    if len(data) - offset != expected:
-        raise LengthMismatch(
-            f"{path}: payload is {len(data) - offset} bytes, header promises {expected}"
-        )
+    if payload != expected:
+        raise LengthMismatch(f"{path}: payload is {payload} bytes, header promises {expected}")
     try:
         subject = subject.decode()
     except UnicodeDecodeError as exc:
         raise CorruptHeader(f"{path}: subject id is not UTF-8") from exc
     if not subject:
         raise CorruptHeader(f"{path}: subject id is empty")
-    values = np.frombuffer(data, dtype="<c16", offset=offset).reshape(k, t)
-    matrix = CsiMatrix(values=values, freqs=f0 + df * np.arange(k), meta={"source": str(path)})
+    freqs = f0 + df * np.arange(k)
+    problems = validate_grid(k, t, freqs)  # the shapes and grids write_portable refuses
+    if problems:
+        raise CorruptHeader(f"{path}: {'; '.join(problems)}")
+    label = SubjectLabel(subject, sample_index, _HAND_FROM_CODE.get(hand_code, Hand.UNSPECIFIED))
+    return label, k, t, freqs
+
+
+def read_portable(path) -> tuple[CsiMatrix, SubjectLabel]:
+    """Exact inverse of write_portable."""
+    with open(path, "rb") as fh:
+        label, k, t, freqs = _read_header(fh, path)
+        data = fh.read()
+    values = np.frombuffer(data, dtype="<c16").reshape(k, t)
+    matrix = CsiMatrix(values=values, freqs=freqs, meta={"source": str(path)})
     problems = validate_matrix(matrix)  # everything write_portable checks
     if problems:
-        # validate_matrix lists a non-finite entry last: it leads only under a sound header.
-        error = NonFiniteSample if problems[0].startswith("non-finite-entry") else CorruptHeader
-        raise error(f"{path}: {'; '.join(problems)}")
-    label = SubjectLabel(subject, sample_index, _HAND_FROM_CODE.get(hand_code, Hand.UNSPECIFIED))
+        raise NonFiniteSample(f"{path}: {'; '.join(problems)}")
     return matrix, label
 
 
 # --- dataset directories -------------------------------------------------------
+
+@dataclass(frozen=True)
+class PortableRecord:
+    """A record left in its portable file, its header already checked.
+
+    Stands in for its CsiMatrix in a ``Dataset``: ``load`` reads and checks the payload.
+    """
+
+    path: Path
+    label: SubjectLabel
+    n_subcarriers: int
+    n_samples: int
+
+    def load(self) -> CsiMatrix:
+        matrix, label = read_portable(self.path)
+        if (label, matrix.values.shape) != (self.label, (self.n_subcarriers, self.n_samples)):
+            raise ManifestMismatch(f"{self.path}: header changed since the dataset was opened")
+        return matrix
+
 
 def _record_filename(label: SubjectLabel, ordinal: int) -> str:
     safe = "".join(ch if ch.isalnum() or ch in "-_" else "-" for ch in label.subject_id)
     return f"{ordinal:04d}_{safe}_{label.sample_index:02d}.csi"
 
 
-def write_dataset_dir(dataset: Dataset, out_dir) -> dict:
-    """Write one portable file per record plus a manifest; returns the manifest."""
+_PARTIAL = ".part"  # suffix of a record written but not yet committed
+
+
+def write_dataset_dir(records, out_dir) -> dict:
+    """Write one portable file per (matrix, label) record plus a manifest; returns the manifest.
+
+    ``records`` is any iterable, a Dataset or a generator, and is read once, one
+    record at a time. Files are written under temporary names and renamed, and the
+    manifest written, only once every record is written; on failure the temporary
+    files are removed, so ``out_dir`` keeps what it held.
+    """
     out = Path(out_dir)
+    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
+    h = hashlib.sha256()
     files = []
-    for ordinal, (matrix, label) in enumerate(dataset):
-        name = _record_filename(label, ordinal)
-        write_portable(matrix, label, out / name)
-        files.append(
-            {
-                "file": name,
-                "subject_id": label.subject_id,
-                "sample_index": label.sample_index,
-                "hand": label.hand.value,
-                "subcarriers": matrix.n_subcarriers,
-                "samples": matrix.n_samples,
-            }
-        )
+    try:
+        for matrix, label in records:  # not enumerate: its cached tuple keeps the last record
+            name = _record_filename(label, len(files))
+            files.append(
+                {
+                    "file": name,
+                    "subject_id": label.subject_id,
+                    "sample_index": label.sample_index,
+                    "hand": label.hand.value,
+                    "subcarriers": matrix.n_subcarriers,
+                    "samples": matrix.n_samples,
+                }
+            )
+            write_portable(matrix, label, out / (name + _PARTIAL))
+            hash_record(h, matrix, label)
+            del matrix  # so the next record is not built while this one is held
+    except BaseException:
+        for entry in files:
+            (out / (entry["file"] + _PARTIAL)).unlink(missing_ok=True)
+        if created:
+            out.rmdir()
+        raise
+    for entry in files:
+        (out / (entry["file"] + _PARTIAL)).replace(out / entry["file"])
     from . import __version__
 
     manifest = {"format": "csibio-dataset", "version": 1,
                 "tool": f"csibio {__version__}",
-                "digest": dataset.digest(), "records": files}
+                "digest": h.hexdigest(), "records": files}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
 
@@ -315,10 +365,12 @@ def _manifest_records(path: Path) -> list[dict]:
 
 
 def read_dataset_dir(path) -> Dataset:
-    """Load a dataset directory written by write_dataset_dir.
+    """Open a dataset directory written by write_dataset_dir.
 
-    A malformed manifest raises ManifestMismatch. The labels and shape a
-    manifest entry records must match its file's header.
+    Every file's header is checked here; a malformed manifest raises
+    ManifestMismatch, and so does an entry whose labels or shape differ
+    from its file's header. Payloads stay on disk: each record is read,
+    and its payload checked, only when the dataset is iterated.
     """
     root = Path(path)
     manifest_path = root / "manifest.json"
@@ -331,13 +383,13 @@ def read_dataset_dir(path) -> Dataset:
     records = []
     for entry in entries:
         file = root / entry["file"]
-        matrix, label = read_portable(file)
+        with open(file, "rb") as fh:
+            label, k, t, _ = _read_header(fh, file)
         header = {"subject_id": label.subject_id, "sample_index": label.sample_index,
-                  "hand": label.hand.value, "subcarriers": matrix.n_subcarriers,
-                  "samples": matrix.n_samples}
-        wrong = [f"{k}={entry[k]!r} (header {v!r})" for k, v in header.items()
-                 if k in entry and entry[k] != v]
+                  "hand": label.hand.value, "subcarriers": k, "samples": t}
+        wrong = [f"{key}={entry[key]!r} (header {v!r})" for key, v in header.items()
+                 if key in entry and entry[key] != v]
         if wrong:
             raise ManifestMismatch(f"{file}: manifest says {', '.join(wrong)}")
-        records.append((matrix, label))
+        records.append((PortableRecord(file, label, k, t), label))
     return Dataset(tuple(records))

@@ -88,25 +88,34 @@ class CsiMatrix:
     def with_values(self, values: np.ndarray) -> "CsiMatrix":
         return replace(self, values=values)
 
+    def load(self) -> "CsiMatrix":
+        """A held matrix is its own record; a stored one (see ``Dataset``) reads its file."""
+        return self
+
+
+def validate_grid(k: int, t: int, freqs: np.ndarray) -> list[str]:
+    """The CsiMatrix invariants that the shape and frequency axis alone fix."""
+    violations: list[str] = []
+    if k < 2:
+        violations.append(f"too-few-subcarriers: K={k} < 2")
+    if t < 2:
+        violations.append(f"too-few-samples: T={t} < 2")
+    diffs = np.diff(freqs)
+    if np.any(diffs <= 0):
+        bad = int(np.argmax(diffs <= 0))
+        violations.append(f"non-increasing-freqs at index {bad}")
+    if not np.all(np.isfinite(freqs)):
+        bad = int(np.argmax(~np.isfinite(freqs)))
+        violations.append(f"non-finite-freq at index {bad}")
+    return violations
+
 
 def validate_matrix(m: CsiMatrix) -> list[str]:
     """Check every CsiMatrix invariant; return one descriptor per violation.
 
     Total function: never raises, an empty list means the matrix is valid.
     """
-    violations: list[str] = []
-    k, t = m.values.shape
-    if k < 2:
-        violations.append(f"too-few-subcarriers: K={k} < 2")
-    if t < 2:
-        violations.append(f"too-few-samples: T={t} < 2")
-    diffs = np.diff(m.freqs)
-    if np.any(diffs <= 0):
-        bad = int(np.argmax(diffs <= 0))
-        violations.append(f"non-increasing-freqs at index {bad}")
-    if not np.all(np.isfinite(m.freqs)):
-        bad = int(np.argmax(~np.isfinite(m.freqs)))
-        violations.append(f"non-finite-freq at index {bad}")
+    violations = validate_grid(*m.values.shape, m.freqs)
     finite = np.isfinite(m.values.real) & np.isfinite(m.values.imag)
     if not finite.all():
         bad_k, bad_t = np.argwhere(~finite)[0]
@@ -114,9 +123,24 @@ def validate_matrix(m: CsiMatrix) -> list[str]:
     return violations
 
 
+def hash_record(h, matrix: CsiMatrix, label: SubjectLabel) -> None:
+    """Feed one record's canonical little-endian encoding to the hash ``h``."""
+    h.update(label.subject_id.encode())
+    h.update(np.int64(label.sample_index).tobytes())
+    h.update(label.hand.value.encode())
+    h.update(np.ascontiguousarray(matrix.freqs, dtype="<f8"))
+    h.update(np.ascontiguousarray(matrix.values, dtype="<c16"))
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Ordered collection of labeled acquisitions."""
+    """Ordered collection of labeled acquisitions.
+
+    Each record's matrix is a held ``CsiMatrix`` or a stored one: any object
+    with ``n_subcarriers``, ``n_samples`` and a ``load()`` that returns the
+    CsiMatrix (``ingest.read_dataset_dir`` stores each record in its file).
+    Iterating loads one record at a time; ``records`` gives them unloaded.
+    """
 
     records: tuple[tuple[CsiMatrix, SubjectLabel], ...]
 
@@ -127,7 +151,7 @@ class Dataset:
         return len(self.records)
 
     def __iter__(self):
-        return iter(self.records)
+        return ((matrix.load(), label) for matrix, label in self.records)
 
     def subject_ids(self) -> list[str]:
         """Distinct subject ids in first-appearance order."""
@@ -142,12 +166,8 @@ class Dataset:
     def digest(self) -> str:
         """SHA-256 over the canonical little-endian encoding of all records."""
         h = hashlib.sha256()
-        for matrix, label in self.records:
-            h.update(label.subject_id.encode())
-            h.update(np.int64(label.sample_index).tobytes())
-            h.update(label.hand.value.encode())
-            h.update(np.ascontiguousarray(matrix.freqs, dtype="<f8").tobytes())
-            h.update(np.ascontiguousarray(matrix.values, dtype="<c16").tobytes())
+        for matrix, label in self:
+            hash_record(h, matrix, label)
         return h.hexdigest()
 
 

@@ -8,7 +8,7 @@ import pytest
 from csibio.classify import MODEL_KINDS
 from csibio.cli import main
 from csibio.synth import bundled_scenario, scenario_to_dict
-from pcap_util import write_csi_capture
+from pcap_util import udp_packet, write_csi_capture
 
 
 def _small_scenario_file(tmp_path, **kw) -> Path:
@@ -177,7 +177,7 @@ class TestFeaturesCommand:
 
         protocol = harness.protocol_from_dict({"window_size": 40})
         dataset = ingest.read_dataset_dir(dataset_dir)
-        record, _ = dataset.records[int(row["record_index"])]
+        record = dataset.records[int(row["record_index"])][0].load()
         cleaned = harness.preprocess_record(record, protocol.preprocess)
         start = int(row["window_start"])
         window_values = cleaned.values[:, start : start + 40]
@@ -635,3 +635,171 @@ class TestUsage:
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0
+
+
+def _dataset_of(tmp_path, samples_per_subject) -> tuple[Path, list[str]]:
+    """A 4-subject synth dataset directory and its record file names, in order."""
+    out = tmp_path / "ds"
+    scenario = _small_scenario_file(tmp_path, samples_per_subject=samples_per_subject)
+    assert main(["synth", "--scenario", str(scenario), "--out", str(out)]) == 0
+    names = [r["file"] for r in json.loads((out / "manifest.json").read_text())["records"]]
+    return out, names
+
+
+def _put_nan(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[:-16] + np.array([np.nan], dtype="<c16").tobytes())
+
+
+def _run(command, ds, tmp_path, out="out") -> int:
+    """``features`` or ``evaluate`` on ``ds`` with window size 40, out to ``tmp_path / out``."""
+    args = [command, str(ds), "--window-size", "40", "--out", str(tmp_path / out)]
+    if command == "evaluate":
+        args += ["--config", str(_protocol_file(tmp_path))]
+    return main(args)
+
+
+@pytest.mark.parametrize("command", ["features", "evaluate"])
+def test_non_finite_fifth_record_fails_before_output(tmp_path, capsys, command):
+    ds, names = _dataset_of(tmp_path, samples_per_subject=2)
+    assert len(names) == 8
+    _put_nan(ds / names[4])
+    capsys.readouterr()
+    assert _run(command, ds, tmp_path) == 1
+    err = _one_json_error_line(capsys.readouterr().err)
+    assert err["error"] == "NonFiniteSample"
+    assert err["detail"].startswith(f"{ds / names[4]}: non-finite-entry")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["features", "evaluate"])
+def test_non_finite_record_the_hand_filter_drops_still_fails(tmp_path, capsys, command):
+    # The dataset digest covers every record, so every record is checked.
+    ds, names = _dataset_of(tmp_path, samples_per_subject=3)
+    path = ds / names[4]
+    data = bytearray(path.read_bytes())
+    data[10] = 1  # hand: left, which the default right-hand filter drops
+    path.write_bytes(bytes(data))
+    manifest = json.loads((ds / "manifest.json").read_text())
+    manifest["records"][4]["hand"] = "left"
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+    from csibio import harness, ingest
+
+    kept = harness._apply_hand_filter(ingest.read_dataset_dir(ds), "right")
+    assert len(kept) == len(names) - 1
+    assert _run(command, ds, tmp_path, out="sound") == 0
+    _put_nan(path)
+    capsys.readouterr()
+    assert _run(command, ds, tmp_path) == 1
+    err = _one_json_error_line(capsys.readouterr().err)
+    assert err["error"] == "NonFiniteSample"
+    assert str(path) in err["detail"]
+    assert not (tmp_path / "out").exists()
+
+
+def _shorten(ds: Path, names: list[str], i: int, samples: int) -> None:
+    from csibio.ingest import read_portable, write_portable
+
+    matrix, label = read_portable(ds / names[i])
+    write_portable(matrix.with_values(matrix.values[:, :samples]), label, ds / names[i])
+    manifest = json.loads((ds / "manifest.json").read_text())
+    manifest["records"][i]["samples"] = samples
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _bad_magic(ds, names):
+    path = ds / names[4]
+    path.write_bytes(b"XXXXXXXX" + path.read_bytes()[8:])
+
+
+def _truncated(ds, names):
+    path = ds / names[4]
+    path.write_bytes(path.read_bytes()[:-16])
+
+
+def _unsupported_version(ds, names):
+    path = ds / names[4]
+    data = path.read_bytes()
+    path.write_bytes(data[:8] + b"\x02" + data[9:])
+
+
+def _manifest_mismatch(ds, names):
+    manifest = json.loads((ds / "manifest.json").read_text())
+    manifest["records"][4]["sample_index"] = 9
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("command", ["features", "evaluate"])
+@pytest.mark.parametrize("fault, error", [
+    (_bad_magic, "BadMagic"),
+    (_truncated, "LengthMismatch"),
+    (_unsupported_version, "UnsupportedVersion"),
+    (_manifest_mismatch, "ManifestMismatch"),
+    (lambda ds, names: _shorten(ds, names, 4, 30), "RecordTooShort"),
+], ids=["magic", "truncated", "version", "manifest", "too-short"])
+def test_header_faults_fail_before_any_calibration(tmp_path, capsys, monkeypatch, command,
+                                                   fault, error):
+    from csibio import calib
+
+    ds, names = _dataset_of(tmp_path, samples_per_subject=2)
+    fault(ds, names)
+    calls = []
+    calibrate = calib.calibrate
+    monkeypatch.setattr(calib, "calibrate", lambda *a, **kw: calls.append(1) or calibrate(*a, **kw))
+    capsys.readouterr()
+    assert _run(command, ds, tmp_path) == 1
+    assert _one_json_error_line(capsys.readouterr().err)["error"] == error
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_too_short_record_beats_an_earlier_non_finite_one(tmp_path, capsys):
+    # Lengths come from the headers, checked before any payload is read.
+    ds, names = _dataset_of(tmp_path, samples_per_subject=2)
+    _put_nan(ds / names[1])
+    _shorten(ds, names, 4, 30)
+    capsys.readouterr()
+    assert _run("features", ds, tmp_path) == 1
+    err = _one_json_error_line(capsys.readouterr().err)
+    assert err["error"] == "RecordTooShort"
+    assert "record 4 " in err["detail"]
+
+
+def _capture_manifest(tmp_path, rng, bad=None, missing=None) -> Path:
+    """An ingest manifest of four 64-subcarrier captures; ``bad`` has no CSI frame."""
+    entries = []
+    for i in range(4):
+        path = tmp_path / f"cap{i}.pcap"
+        if i == bad:
+            write_csi_capture(path, [], extra_packets=[udp_packet(b"\x00\x00junk")])
+        elif i != missing:
+            write_csi_capture(path, [[tuple(p) for p in rng.integers(-500, 500, (64, 2))]
+                                     for _ in range(60)])
+        entries.append({"path": str(path), "subject_id": f"p{i % 2}", "sample_index": i // 2,
+                        "expected_subcarriers": 64})
+    manifest = tmp_path / "ingest.json"
+    manifest.write_text(json.dumps(entries))
+    return manifest
+
+
+def test_failed_ingest_leaves_out_as_it_was(tmp_path, rng, capsys):
+    out = tmp_path / "ds"
+    assert main(["ingest", "--manifest", str(_capture_manifest(tmp_path, rng)),
+                 "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(before) == 5
+    for target in (out, tmp_path / "fresh"):
+        capsys.readouterr()
+        manifest = _capture_manifest(tmp_path, rng, bad=2)
+        assert main(["ingest", "--manifest", str(manifest), "--out", str(target)]) == 1
+        err = _one_json_error_line(capsys.readouterr().err)
+        assert err["error"] == "NoCsiFrames" and "cap2.pcap" in err["detail"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert not (tmp_path / "fresh").exists()
+
+
+def test_missing_input_found_before_any_capture_is_parsed(tmp_path, rng, capsys):
+    manifest = _capture_manifest(tmp_path, rng, bad=0, missing=3)
+    assert main(["ingest", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 1
+    err = _one_json_error_line(capsys.readouterr().err)
+    assert err["error"] == "FileNotFoundError" and "cap3.pcap" in err["detail"]
+    assert not (tmp_path / "o").exists()

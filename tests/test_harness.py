@@ -20,6 +20,7 @@ from csibio.harness import (
     stratified_kfold,
     window_dataset,
 )
+from csibio.ingest import read_dataset_dir, write_dataset_dir
 from csibio.model import CsiMatrix, Dataset, SubjectLabel
 from csibio.synth import (
     AttackKind,
@@ -142,6 +143,34 @@ def test_prepare_windows_holds_one_processed_record():
     record_bytes = dataset.records[0][0].values.nbytes
     assert record_bytes == 64 * 500 * 16
     assert peaks[1] - peaks[0] < 2 * record_bytes, peaks
+
+
+def _peak_bytes(fn, *args) -> int:
+    """Peak traced allocation of ``fn(*args)`` above what was held before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_dataset_holds_one_raw_record(tmp_path):
+    """From a 4-record directory to a 16-record one, peak memory grows by less than a record."""
+    cfg = ProtocolConfig(hand_filter="pooled")
+    dataset = generate_dataset(bundled_scenario(n_subjects=4, samples_per_subject=4))
+    write_dataset_dir(Dataset(dataset.records[:4]), tmp_path / "d4")
+    write_dataset_dir(dataset, tmp_path / "d16")
+    record_bytes = dataset.records[0][0].values.nbytes
+    del dataset
+
+    def run(d):
+        prepare_windows(read_dataset_dir(d), cfg)
+
+    run(tmp_path / "d4")  # warm up caches and lazy imports
+    peaks = [_peak_bytes(run, tmp_path / d) for d in ("d4", "d16")]
+    assert peaks[1] - peaks[0] < record_bytes, peaks
 
 
 class TestStratifiedKfold:
@@ -312,6 +341,23 @@ class TestLeakageAudit:
         reused = leakage_audit(dataset, cfg, KNN, ws=ws, result=result)
         assert reused == leakage_audit(dataset, cfg, KNN, ws=ws)
         assert reused.flagged
+
+    def test_leaky_arm_reuses_the_full_data_fit(self, small_dataset, monkeypatch):
+        cfg = ProtocolConfig(window_size=50, **FAST)
+        ws = prepare_windows(small_dataset, cfg)
+        expected = leakage_audit(small_dataset, cfg, KNN, ws=ws)
+        scaler, ranking = harness._scale_and_rank(ws.matrix, cfg, np.arange(ws.matrix.n_rows))
+        calls = []
+        rank = select.mrmr_rank
+        monkeypatch.setattr(select, "mrmr_rank", lambda *a: calls.append(1) or rank(*a))
+        result = run_cv(small_dataset, cfg, [KNN], ws=ws)
+        assert len(calls) == len(make_folds(ws, cfg)) + 1
+        assert result.full_scaler.mean.tobytes() == scaler.mean.tobytes()
+        assert result.full_scaler.std.tobytes() == scaler.std.tobytes()
+        assert result.feature_ranking == tuple(ranking)
+        calls.clear()
+        assert leakage_audit(small_dataset, cfg, KNN, ws=ws, result=result) == expected
+        assert calls == []
 
     def test_result_of_another_config_rejected(self, small_dataset):
         cfg = ProtocolConfig(window_size=50, **FAST)

@@ -1,5 +1,8 @@
 import json
+import re
 import struct
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from csibio.errors import (
     LengthMismatch,
     ManifestMismatch,
     NoCsiFrames,
+    NonFiniteSample,
     UnsupportedVersion,
 )
 from csibio.ingest import (
@@ -23,7 +27,7 @@ from csibio.ingest import (
     write_dataset_dir,
     write_portable,
 )
-from csibio.model import CsiMatrix, Hand, SubjectLabel
+from csibio.model import CsiMatrix, Dataset, Hand, SubjectLabel
 from csibio.synth import bundled_scenario, generate_dataset
 from pcap_util import udp_packet, write_csi_capture
 
@@ -211,6 +215,59 @@ class TestDatasetDir:
         d2 = read_dataset_dir(tmp_path / "ds")
         assert d2.digest() == d.digest()
         assert [lab.subject_id for _, lab in d2] == [lab.subject_id for _, lab in d]
+
+    def test_write_hashes_one_record_at_a_time(self, tmp_path):
+        """Fed a generator, the writer holds fewer than two records and digests as it writes."""
+        freqs = subcarrier_freqs(64, 5.18e9, 40e6)
+        record_bytes = 64 * 500 * 16
+
+        def records():
+            for i in range(16):
+                yield CsiMatrix(np.full((64, 500), complex(i + 1, 1)), freqs), SubjectLabel("a", i)
+
+        tracemalloc.start()
+        try:
+            manifest = write_dataset_dir(records(), tmp_path / "ds")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * record_bytes, peak
+        assert len(manifest["records"]) == 16
+        assert manifest["digest"] == Dataset(tuple(records())).digest()
+        assert read_dataset_dir(tmp_path / "ds").digest() == manifest["digest"]
+
+    def test_failed_write_leaves_directory_as_it_was(self, tmp_path):
+        scenario = bundled_scenario(n_subjects=2, samples_per_subject=2, n_samples=20,
+                                    n_subcarriers=8)
+        write_dataset_dir(generate_dataset(scenario), tmp_path / "ds")
+        before = {p.name: p.read_bytes() for p in (tmp_path / "ds").iterdir()}
+
+        def failing():
+            for i, record in enumerate(generate_dataset(replace(scenario, seed=7))):
+                if i == 2:
+                    raise NoCsiFrames("third capture")
+                yield record
+
+        for out in (tmp_path / "ds", tmp_path / "fresh"):
+            with pytest.raises(NoCsiFrames):
+                write_dataset_dir(failing(), out)
+        assert {p.name: p.read_bytes() for p in (tmp_path / "ds").iterdir()} == before
+        assert not (tmp_path / "fresh").exists()
+
+    def test_non_finite_payload_raises_on_load(self, tmp_path):
+        scenario = bundled_scenario(n_subjects=2, samples_per_subject=4, n_samples=20,
+                                    n_subcarriers=8)
+        manifest = write_dataset_dir(generate_dataset(scenario), tmp_path / "ds")
+        path = tmp_path / "ds" / manifest["records"][5]["file"]
+        path.write_bytes(path.read_bytes()[:-16] + np.array([np.nan], dtype="<c16").tobytes())
+        dataset = read_dataset_dir(tmp_path / "ds")  # headers only
+        loaded = iter(dataset)
+        for _ in range(5):
+            next(loaded)
+        with pytest.raises(NonFiniteSample, match=re.escape(str(path))):
+            next(loaded)
+        with pytest.raises(NonFiniteSample, match=re.escape(str(path))):
+            dataset.digest()
 
     def test_empty_dir_rejected(self, tmp_path):
         (tmp_path / "empty").mkdir()
