@@ -15,8 +15,8 @@ Two split modes:
   4-train / 1-test design);
 * ``per_window_stratified`` - seeded stratified k-fold over windows.
 
-Every fit records which row ids it touched (``fit_audit``), making the
-no-test-rows-at-fit-time invariant directly checkable.
+Every fold records which row ids its fit touched and which it scored
+(``Fold``), making the no-test-rows-at-fit-time invariant directly checkable.
 """
 
 from __future__ import annotations
@@ -91,7 +91,11 @@ class ProtocolConfig:
             raise ValueError("fcs_bins must be >= 1")
         if self.bioquake_resamples < 2:
             raise ValueError("bioquake_resamples must be >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "feature_groups", frozenset(self.feature_groups))
+        if not self.feature_groups:
+            raise ValueError("feature_groups must name at least one group")
         self.mrmr_config()  # checks selection_k, mi_bins and binning
         features.feature_names(self.feature_groups)  # checks the feature groups
 
@@ -296,13 +300,21 @@ class Scaler:
 # --- cross-validation ------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FoldAudit:
-    """Row ids touched at fit time vs rows scored, per fold."""
+class Fold:
+    """Row ids touched at fit time vs rows scored; a fold's id is its position."""
 
-    fold_id: int
     fit_rows: tuple[int, ...]
     test_rows: tuple[int, ...]
     selected_features: tuple[str, ...]
+
+
+class CvPass(NamedTuple):
+    """One cross-validation pass: per model, its scores over every test row in fold
+    order and its accuracy on each fold; and one ``Fold`` per fold."""
+
+    scores: dict[str, ScoreMatrix]
+    accuracies: dict[str, tuple[float, ...]]
+    folds: tuple[Fold, ...]
 
 
 @dataclass(frozen=True)
@@ -316,9 +328,7 @@ class LeakageAudit:
 @dataclass(frozen=True)
 class RunResult:
     reports: dict[str, metrics.SecurityReport]
-    scores: dict[str, ScoreMatrix]
-    fold_accuracies: dict[str, tuple[float, ...]]
-    fit_audits: tuple[FoldAudit, ...]
+    cv: CvPass
     feature_ranking: tuple[select.RankedFeature, ...]
     leakage_audit: LeakageAudit | None
     config_digest: str
@@ -332,7 +342,7 @@ class RunResult:
         return {
             "seed": self.seed,
             "reports": {name: r.to_dict() for name, r in sorted(self.reports.items())},
-            "fold_accuracies": {k: list(v) for k, v in sorted(self.fold_accuracies.items())},
+            "fold_accuracies": {k: list(v) for k, v in sorted(self.cv.accuracies.items())},
         }
 
     def digest(self) -> str:
@@ -364,46 +374,44 @@ def _scale_and_rank(matrix: FeatureMatrix, cfg: ProtocolConfig, rows=slice(None)
     return scaler, ranking
 
 
+def _accuracy(scores: ScoreMatrix) -> float:
+    correct = sum(p == t for p, t in zip(scores.predicted_labels(), scores.true_labels))
+    return correct / max(scores.n_rows, 1)
+
+
 def _cv_scores(
     ws: WindowSet, cfg: ProtocolConfig, models: list[ModelSpec],
     full_fit: tuple[Scaler, list[select.RankedFeature]] | None = None,
-) -> tuple[dict[str, list[ScoreMatrix]], dict[str, list[float]], list[FoldAudit]]:
+) -> CvPass:
     """Cross-validate ``models``; a leaky ``cfg`` fits on every row, reusing ``full_fit``
     (``_scale_and_rank`` of all rows) when given."""
-    names = [m.name() for m in models]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate model names in one run: {names}")
-    folds = make_folds(ws, cfg)
-    per_model_scores: dict[str, list[ScoreMatrix]] = {m.name(): [] for m in models}
-    per_model_acc: dict[str, list[float]] = {m.name(): [] for m in models}
-    audits: list[FoldAudit] = []
+    parts: dict[str, list[ScoreMatrix]] = {m.name(): [] for m in models}  # one per fold
+    if len(parts) != len(models):
+        raise ValueError(f"duplicate model names in one run: {[m.name() for m in models]}")
+    folds = []
     leaky = cfg.normalization == "global_zscore_leaky"
     if leaky:  # every fold fits on every row: one fit serves them all
         all_rows = np.arange(ws.matrix.n_rows)
         leaky_fit = full_fit or _scale_and_rank(ws.matrix, cfg, all_rows)
 
-    for fold_id, (train_idx, test_idx) in enumerate(folds):
+    for train_idx, test_idx in make_folds(ws, cfg):
         if leaky:
             fit_rows, (scaler, ranking) = all_rows, leaky_fit
         else:
             fit_rows = train_idx
             scaler, ranking = _scale_and_rank(ws.matrix, cfg, fit_rows)
         selected = tuple(r.name for r in ranking)
-        audits.append(
-            FoldAudit(fold_id, tuple(map(int, fit_rows)), tuple(map(int, test_idx)), selected)
-        )
+        folds.append(Fold(tuple(map(int, fit_rows)), tuple(map(int, test_idx)), selected))
         train_matrix = _scaled_rows(ws.matrix, scaler, train_idx, selected)
         test_matrix = _scaled_rows(ws.matrix, scaler, test_idx, selected)
-
         for spec in models:
             model = fit(spec, train_matrix, seed=cfg.seed)
-            scores = model.predict_proba(test_matrix)
-            per_model_scores[spec.name()].append(scores)
-            correct = sum(
-                p == t for p, t in zip(scores.predicted_labels(), scores.true_labels)
-            )
-            per_model_acc[spec.name()].append(correct / max(scores.n_rows, 1))
-    return per_model_scores, per_model_acc, audits
+            parts[spec.name()].append(model.predict_proba(test_matrix))
+    return CvPass(
+        scores={name: ScoreMatrix.concatenate(p) for name, p in parts.items()},
+        accuracies={name: tuple(map(_accuracy, p)) for name, p in parts.items()},
+        folds=tuple(folds),
+    )
 
 
 def run_cv(dataset: Dataset, cfg: ProtocolConfig, models: list[ModelSpec],
@@ -421,25 +429,16 @@ def run_cv(dataset: Dataset, cfg: ProtocolConfig, models: list[ModelSpec],
         ws = prepare_windows(dataset, cfg)
     dataset_digest = dataset.digest()  # loads, so checks, the records the hand filter dropped
     scaler, ranking = _scale_and_rank(ws.matrix, cfg)
-    per_model_scores, per_model_acc, audits = _cv_scores(ws, cfg, models, (scaler, ranking))
-
-    reports = {}
-    pooled = {}
-    for spec in models:
-        name = spec.name()
-        pooled[name] = ScoreMatrix.concatenate(per_model_scores[name])
-        reports[name] = metrics.build_security_report(
-            name,
-            pooled[name],
-            fcs_bins=cfg.fcs_bins,
-            resamples=cfg.bioquake_resamples,
-            seed=cfg.seed,
+    cv = _cv_scores(ws, cfg, models, (scaler, ranking))
+    reports = {
+        name: metrics.build_security_report(
+            name, scores, fcs_bins=cfg.fcs_bins, resamples=cfg.bioquake_resamples, seed=cfg.seed
         )
+        for name, scores in cv.scores.items()
+    }
     return RunResult(
         reports=reports,
-        scores=pooled,
-        fold_accuracies={k: tuple(v) for k, v in per_model_acc.items()},
-        fit_audits=tuple(audits),
+        cv=cv,
         feature_ranking=tuple(ranking),
         leakage_audit=None,
         config_digest=cfg.digest(),
@@ -454,25 +453,26 @@ def leakage_audit(dataset: Dataset, cfg: ProtocolConfig, model: ModelSpec,
                   ) -> LeakageAudit:
     """Clean pipeline vs global-fit baseline, flagged on the 1 p.p. rule.
 
-    Given the ``run_cv`` result of the same ``cfg``, the arm that ``cfg``
-    already ran is read from it and only the other arm is cross-validated;
-    both arms share one set of folds, which do not depend on normalization.
+    Each arm's pooled accuracy weights its fold accuracies by its folds' test
+    sizes. Given the ``run_cv`` result of the same ``cfg``, the arm that ``cfg``
+    already ran is read from it and only the other arm is cross-validated.
     """
     if result is not None and result.config_digest != cfg.digest():
         raise ValueError("result was computed under a different protocol config")
+    if result is not None and model.name() not in result.cv.accuracies:
+        raise ValueError(f"result did not run model {model.name()!r}; "
+                         f"it ran {sorted(result.cv.accuracies)}")
     if ws is None:
         ws = prepare_windows(dataset, cfg)
-    sizes = np.array([len(test) for _, test in make_folds(ws, cfg)], dtype=np.float64)
 
     def pooled_accuracy(normalization):
         if result is not None and normalization == cfg.normalization:
-            acc = result.fold_accuracies[model.name()]
+            cv = result.cv
         else:
             full_fit = None if result is None else (result.full_scaler, result.feature_ranking)
-            _, per_model, _ = _cv_scores(ws, replace(cfg, normalization=normalization), [model],
-                                         full_fit)
-            acc = per_model[model.name()]
-        return float(np.sum(np.asarray(acc) * sizes) / sizes.sum())
+            cv = _cv_scores(ws, replace(cfg, normalization=normalization), [model], full_fit)
+        sizes = np.array([len(f.test_rows) for f in cv.folds], dtype=np.float64)
+        return float(np.sum(np.asarray(cv.accuracies[model.name()]) * sizes) / sizes.sum())
 
     clean_value = pooled_accuracy("within_fold_zscore")
     leaky_value = pooled_accuracy("global_zscore_leaky")

@@ -118,6 +118,8 @@ class ScenarioSpec:
             raise InvalidSpec("duplicate subject ids")
         if ATTACKER_ID in ids:
             raise InvalidSpec(f"{ATTACKER_ID} is reserved for attack records")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
 
     def freqs(self) -> np.ndarray:
         return self.freq_start + self.freq_step * np.arange(self.n_subcarriers)

@@ -219,7 +219,8 @@ class TestEvaluateCommand:
         real_run_cv = harness.run_cv
 
         def run_cv_with_nan(*args, **kwargs):
-            return replace(real_run_cv(*args, **kwargs), fold_accuracies={"knn": (float("nan"),)})
+            result = real_run_cv(*args, **kwargs)
+            return replace(result, cv=result.cv._replace(accuracies={"knn": (float("nan"),)}))
 
         monkeypatch.setattr(harness, "run_cv", run_cv_with_nan)
         cfg = _protocol_file(tmp_path, audit=False)
@@ -748,6 +749,30 @@ def test_header_faults_fail_before_any_calibration(tmp_path, capsys, monkeypatch
     capsys.readouterr()
     assert _run(command, ds, tmp_path) == 1
     assert _one_json_error_line(capsys.readouterr().err)["error"] == error
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, field", [
+    ("evaluate", "seed"), ("features", "seed"), ("synth", "seed"),
+    ("evaluate", "feature_groups"), ("features", "feature_groups"),
+])
+def test_negative_seed_or_no_feature_groups_exits_2_before_any_calibration(
+        tmp_path, capsys, monkeypatch, command, field):
+    from csibio import calib
+
+    ds, _ = _dataset_of(tmp_path, samples_per_subject=2)
+    calls = []
+    calibrate = calib.calibrate
+    monkeypatch.setattr(calib, "calibrate", lambda *a, **kw: calls.append(1) or calibrate(*a, **kw))
+    args = [command] if command == "synth" else [command, str(ds)]
+    if field == "seed":
+        args += ["--seed", "-1"]
+    else:
+        args += ["--config", str(_protocol_file(tmp_path, protocol={"feature_groups": []}))]
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "out")]) == 2
+    assert field in _one_json_error_line(capsys.readouterr().err)["detail"]
     assert calls == []
     assert not (tmp_path / "out").exists()
 

@@ -8,6 +8,7 @@ from csibio import calib, features, harness, select
 from csibio.classify import ModelSpec
 from csibio.errors import InsufficientData, RecordTooShort
 from csibio.harness import (
+    SPLIT_MODES,
     PreprocessConfig,
     ProtocolConfig,
     attack_report,
@@ -226,7 +227,7 @@ class TestRunCv:
     def test_no_test_rows_touched_at_fit_time(self, small_dataset):
         cfg = ProtocolConfig(window_size=50, **FAST)
         result = run_cv(small_dataset, cfg, [KNN])
-        for audit in result.fit_audits:
+        for audit in result.cv.folds:
             assert not set(audit.fit_rows) & set(audit.test_rows)
 
     def test_leaky_mode_touches_everything(self, small_dataset):
@@ -259,7 +260,7 @@ class TestRunCv:
         cfg = ProtocolConfig(window_size=50, **FAST)
         ws = prepare_windows(small_dataset, cfg)
         result = run_cv(small_dataset, cfg, [KNN], ws=ws)
-        assert result.scores["knn"].n_rows == ws.matrix.n_rows
+        assert result.cv.scores["knn"].n_rows == ws.matrix.n_rows
 
     def test_determinism(self, small_dataset):
         cfg = ProtocolConfig(window_size=50, **FAST)
@@ -276,6 +277,25 @@ class TestRunCv:
         cfg = ProtocolConfig(window_size=50, **FAST)
         with pytest.raises(ValueError):
             run_cv(small_dataset, cfg, [KNN, ModelSpec("knn", {"k": 1})])
+
+    @pytest.mark.parametrize("split_mode", SPLIT_MODES)
+    def test_fold_records_partition_the_windows_and_align_with_scores(self, small_dataset,
+                                                                     split_mode):
+        cfg = ProtocolConfig(window_size=50, split_mode=split_mode, folds=4, **FAST)
+        ws = prepare_windows(small_dataset, cfg)
+        cv = run_cv(small_dataset, cfg, [KNN, ModelSpec("gaussian_nb")], ws=ws).cv
+        tested = np.concatenate([f.test_rows for f in cv.folds])
+        assert np.array_equal(np.sort(tested), np.arange(ws.matrix.n_rows))
+        labels = np.asarray(ws.matrix.labels)
+        ends = np.cumsum([len(f.test_rows) for f in cv.folds])
+        for name, scores in cv.scores.items():
+            assert scores.true_labels == tuple(labels[tested])
+            predicted = np.asarray(scores.predicted_labels())
+            accuracies = []
+            for fold, end in zip(cv.folds, ends):
+                hits = predicted[end - len(fold.test_rows) : end] == labels[list(fold.test_rows)]
+                accuracies.append(int(hits.sum()) / hits.size)
+            assert np.asarray(accuracies).tobytes() == np.asarray(cv.accuracies[name]).tobytes()
 
 
 def leakage_fixture():
@@ -365,6 +385,13 @@ class TestLeakageAudit:
         with pytest.raises(ValueError):
             leakage_audit(small_dataset, replace(cfg, seed=1), KNN, result=result)
 
+    def test_model_the_result_did_not_run_rejected(self, small_dataset):
+        cfg = ProtocolConfig(window_size=50, **FAST)
+        ws = prepare_windows(small_dataset, cfg)
+        result = run_cv(small_dataset, cfg, [KNN], ws=ws)
+        with pytest.raises(ValueError, match=r"'gaussian_nb'.*\['knn'\]"):
+            leakage_audit(small_dataset, cfg, ModelSpec("gaussian_nb"), ws=ws, result=result)
+
     def test_flag_is_definitional(self, small_dataset):
         cfg = ProtocolConfig(window_size=50, **FAST)
         audit = leakage_audit(small_dataset, cfg, KNN)
@@ -399,6 +426,11 @@ class TestAttack:
         again = protocol_from_dict(cfg.to_dict())
         assert again == cfg
         assert again.digest() == cfg.digest()
+
+    @pytest.mark.parametrize("bad", [{"seed": -1}, {"feature_groups": frozenset()}])
+    def test_protocol_rejects_negative_seed_and_no_feature_groups(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ProtocolConfig(**bad)
 
     def test_protocol_ignores_unknown_keys(self):
         # Configs written before the grid search was removed still load.
