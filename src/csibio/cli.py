@@ -185,12 +185,11 @@ def _cmd_features(args) -> int:
         return _print_json(protocol.to_dict())
     dataset = ingest.read_dataset_dir(args.dataset)
     ws = harness.prepare_windows(dataset, protocol)
-    digest = dataset.digest()  # loads, so checks, the records the hand filter dropped
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "features.csv"
     with open(path, "w", newline="") as fh:
-        fh.write(report.provenance_line(protocol.digest(), digest, protocol.seed) + "\n")
+        fh.write(report.provenance_line(protocol.digest(), ws.dataset_digest, protocol.seed) + "\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(
             ["record_index", "window_start", "subject_id", "sample_index",

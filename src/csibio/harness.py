@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
@@ -33,7 +35,7 @@ from . import calib, clean, features, metrics, select
 from .classify import ModelSpec, fit
 from .errors import InsufficientData, RecordTooShort
 from .model import CsiMatrix, Dataset, FeatureMatrix, Hand, ScoreMatrix, SubjectLabel
-from .model import from_dict
+from .model import from_dict, hash_record
 from .synth import split_attack
 
 SPLIT_MODES = ("per_acquisition_holdout", "per_window_stratified")
@@ -174,19 +176,26 @@ def preprocess_record(matrix: CsiMatrix, cfg: PreprocessConfig) -> CsiMatrix:
 
 @dataclass(frozen=True)
 class WindowSet:
-    """Feature matrix for all windows plus per-window provenance."""
+    """Feature matrix for all windows plus per-window provenance, and the
+    ``Dataset.digest()`` of the dataset they were cut from."""
 
     matrix: FeatureMatrix
     sample_indices: tuple[int, ...]
     record_indices: tuple[int, ...]
     window_starts: tuple[int, ...]
+    dataset_digest: str
+
+
+def _keeps_hand(hand_filter: str):
+    """The hand filter as a predicate on labels."""
+    if hand_filter == "pooled":
+        return lambda label: True
+    wanted = Hand.RIGHT if hand_filter == "right" else Hand.LEFT
+    return lambda label: label.hand in (wanted, Hand.UNSPECIFIED)
 
 
 def _apply_hand_filter(dataset: Dataset, hand_filter: str) -> Dataset:
-    if hand_filter == "pooled":
-        return dataset
-    wanted = Hand.RIGHT if hand_filter == "right" else Hand.LEFT
-    return dataset.filter(lambda lab: lab.hand in (wanted, Hand.UNSPECIFIED))
+    return dataset.filter(_keeps_hand(hand_filter))
 
 
 # Most elements of the [n, K, W] window slice one extract_all call sees, about
@@ -205,22 +214,67 @@ def _record_rows(matrix: CsiMatrix, label: SubjectLabel,
     return rows, r.starts
 
 
+def _pool_size(n_records: int) -> int:
+    """Threads for the per-record pipeline: one per CPU this process may use, at
+    most one per record."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, n_records))
+
+
+def _ordered_map(fn, items, workers: int):
+    """Yield ``fn(item)`` for each item in order, computed on ``workers`` threads.
+
+    At most ``workers + 1`` calls are queued, running or waiting to be yielded.
+    A call's error is raised at its own turn, so the first failing item in order
+    is the one reported, whichever failed first; calls not yet started are then
+    cancelled.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # kept off the --print-config path
+
+    pool = ThreadPoolExecutor(workers)
+    pending = deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def prepare_windows(dataset: Dataset, cfg: ProtocolConfig) -> WindowSet:
     """Run the per-record pipeline and extract one feature row per window.
 
-    Records stream one at a time: a stored record is read only at its turn, so
-    one raw and one preprocessed record are held. Preprocessing never changes T,
-    so every length is checked, from the headers, before any work.
+    One pass reads each stored record once, at its turn: it loads (so checks)
+    every record, the ones the hand filter drops included, hashes it into
+    ``dataset_digest``, and preprocesses, windows and extracts the kept ones.
+    Records run on ``_pool_size`` threads and join in dataset order, so a
+    failure is raised at its record's place in that order. Preprocessing never
+    changes T, so every kept length is checked, from the headers, before any work.
     """
-    dataset = _apply_hand_filter(dataset, cfg.hand_filter)
-    if len(dataset) == 0:
+    keeps = _keeps_hand(cfg.hand_filter)
+    kept = dataset.filter(keeps)
+    if len(kept) == 0:
         raise InsufficientData("no records left after the hand filter")
-    _check_lengths(dataset, cfg.window_size)
+    _check_lengths(kept, cfg.window_size)
+
+    def run(record):
+        stored, label = record
+        matrix = stored.load()
+        return matrix, label, _record_rows(matrix, label, cfg) if keeps(label) else None
+
+    digest = hashlib.sha256()
     rows, windows = [], []  # windows: (label, record index, start) per row
-    for record_index, (matrix, label) in enumerate(dataset):
-        record_rows, starts = _record_rows(matrix, label, cfg)
-        rows += record_rows
-        windows += [(label, record_index, start) for start in starts]
+    record_index = 0  # position among the kept records
+    for matrix, label, kept_rows in _ordered_map(run, dataset.records, _pool_size(len(dataset))):
+        hash_record(digest, matrix, label)
+        if kept_rows is not None:
+            record_rows, starts = kept_rows
+            rows += record_rows
+            windows += [(label, record_index, start) for start in starts]
+            record_index += 1
     labels, record_indices, window_starts = zip(*windows)
     names = features.feature_names(cfg.feature_groups)
     return WindowSet(
@@ -228,6 +282,7 @@ def prepare_windows(dataset: Dataset, cfg: ProtocolConfig) -> WindowSet:
         sample_indices=tuple(lab.sample_index for lab in labels),
         record_indices=record_indices,
         window_starts=window_starts,
+        dataset_digest=digest.hexdigest(),
     )
 
 
@@ -325,7 +380,7 @@ class LeakageAudit:
     flagged: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
     reports: dict[str, metrics.SecurityReport]
     cv: CvPass
@@ -335,7 +390,7 @@ class RunResult:
     dataset_digest: str
     seed: int
     # The scaler of the full-data fit that ranked ``feature_ranking``; not reported.
-    full_scaler: Scaler = field(compare=False, repr=False)
+    full_scaler: Scaler = field(repr=False)
 
     def payload(self) -> dict:
         """Every reported number, keyed as in ``run_result.json``."""
@@ -427,7 +482,6 @@ def run_cv(dataset: Dataset, cfg: ProtocolConfig, models: list[ModelSpec],
         raise InsufficientData("need at least two subjects")
     if ws is None:
         ws = prepare_windows(dataset, cfg)
-    dataset_digest = dataset.digest()  # loads, so checks, the records the hand filter dropped
     scaler, ranking = _scale_and_rank(ws.matrix, cfg)
     cv = _cv_scores(ws, cfg, models, (scaler, ranking))
     reports = {
@@ -442,7 +496,7 @@ def run_cv(dataset: Dataset, cfg: ProtocolConfig, models: list[ModelSpec],
         feature_ranking=tuple(ranking),
         leakage_audit=None,
         config_digest=cfg.digest(),
-        dataset_digest=dataset_digest,
+        dataset_digest=ws.dataset_digest,
         seed=cfg.seed,
         full_scaler=scaler,
     )

@@ -1,5 +1,6 @@
 import csv
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -787,6 +788,65 @@ def test_too_short_record_beats_an_earlier_non_finite_one(tmp_path, capsys):
     err = _one_json_error_line(capsys.readouterr().err)
     assert err["error"] == "RecordTooShort"
     assert "record 4 " in err["detail"]
+
+
+@pytest.mark.parametrize("command", ["features", "evaluate"])
+def test_earlier_fault_wins_when_a_later_record_fails_first(tmp_path, capsys, monkeypatch,
+                                                             command):
+    # Records run on a pool: record 1 fails only after record 3's load has failed.
+    from csibio import calib, harness, ingest
+    from csibio.errors import NonFiniteSample
+
+    ds, names = _dataset_of(tmp_path, samples_per_subject=2)
+    _put_nan(ds / names[3])
+    read, calibrate = ingest.read_portable, calib.calibrate
+    record_1 = read(ds / names[1])[0].values
+    record_3_failed = threading.Event()
+
+    def read_portable(path):
+        try:
+            return read(path)
+        except NonFiniteSample:
+            record_3_failed.set()
+            raise
+
+    def calibrate_failing_late(matrix, **kw):
+        if np.array_equal(matrix.values, record_1):
+            assert record_3_failed.wait(10)
+            raise ValueError("record 1 failed last")
+        return calibrate(matrix, **kw)
+
+    monkeypatch.setattr(ingest, "read_portable", read_portable)
+    monkeypatch.setattr(calib, "calibrate", calibrate_failing_late)
+    monkeypatch.setattr(harness, "_pool_size", lambda n_records: 3)
+    capsys.readouterr()
+    assert _run(command, ds, tmp_path) == 1
+    assert record_3_failed.is_set()
+    err = _one_json_error_line(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "detail": "record 1 failed last"}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["features", "evaluate"])
+def test_faulty_dropped_record_is_reported_at_its_place(tmp_path, capsys, command):
+    # One pass loads every record in dataset order, the ones the hand filter drops
+    # included, so a dropped record's fault comes before a later kept record's.
+    ds, names = _dataset_of(tmp_path, samples_per_subject=2)
+    dropped = ds / names[2]
+    data = bytearray(dropped.read_bytes())
+    data[10] = 1  # hand: left, which the default right-hand filter drops
+    dropped.write_bytes(bytes(data))
+    manifest = json.loads((ds / "manifest.json").read_text())
+    manifest["records"][2]["hand"] = "left"
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+    _put_nan(dropped)
+    _put_nan(ds / names[5])
+    capsys.readouterr()
+    assert _run(command, ds, tmp_path) == 1
+    err = _one_json_error_line(capsys.readouterr().err)
+    assert err["error"] == "NonFiniteSample"
+    assert err["detail"].startswith(f"{dropped}: non-finite-entry")
+    assert not (tmp_path / "out").exists()
 
 
 def _capture_manifest(tmp_path, rng, bad=None, missing=None) -> Path:

@@ -1,3 +1,5 @@
+import sys
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -22,7 +24,7 @@ from csibio.harness import (
     window_dataset,
 )
 from csibio.ingest import read_dataset_dir, write_dataset_dir
-from csibio.model import CsiMatrix, Dataset, SubjectLabel
+from csibio.model import CsiMatrix, Dataset, Hand, SubjectLabel
 from csibio.synth import (
     AttackKind,
     AttackSpec,
@@ -125,27 +127,6 @@ def test_short_record_rejected_before_any_preprocessing(monkeypatch):
     assert calls == []
 
 
-def test_prepare_windows_holds_one_processed_record():
-    """Peak memory grows by less than two records from 4 to 16 records."""
-    cfg = ProtocolConfig(hand_filter="pooled")
-    dataset = generate_dataset(bundled_scenario(n_subjects=4, samples_per_subject=4))
-    small = Dataset(dataset.records[:4])
-    prepare_windows(small, cfg)  # warm up caches and lazy imports
-    peaks = []
-    tracemalloc.start()
-    try:
-        for d in (small, dataset):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            prepare_windows(d, cfg)
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-    finally:
-        tracemalloc.stop()
-    record_bytes = dataset.records[0][0].values.nbytes
-    assert record_bytes == 64 * 500 * 16
-    assert peaks[1] - peaks[0] < 2 * record_bytes, peaks
-
-
 def _peak_bytes(fn, *args) -> int:
     """Peak traced allocation of ``fn(*args)`` above what was held before the call."""
     tracemalloc.start()
@@ -157,21 +138,94 @@ def _peak_bytes(fn, *args) -> int:
         tracemalloc.stop()
 
 
-def test_read_dataset_holds_one_raw_record(tmp_path):
-    """From a 4-record directory to a 16-record one, peak memory grows by less than a record."""
+POOL = 2  # threads for the memory tests; their smaller dataset holds more than POOL + 1 records
+
+
+@pytest.fixture
+def pool_of_two(monkeypatch):
+    monkeypatch.setattr(harness, "_pool_size", lambda n_records: min(POOL, n_records))
+
+
+def _assert_peaks_bounded(run, one, small, large):
+    """From ``small`` to ``large`` (both above the in-flight cap), peak memory grows
+    by less than one record's pipeline, and never reaches POOL + 1 of them."""
+    run(small)  # warm up caches and lazy imports
+    one_record, *peaks = [_peak_bytes(run, d) for d in (one, small, large)]
+    assert peaks[1] - peaks[0] < one_record, (one_record, peaks)
+    assert max(peaks) < (POOL + 1) * one_record, (one_record, peaks)
+
+
+def test_prepare_windows_peak_does_not_grow_with_records(pool_of_two):
+    """4 and 16 records in memory: peak is bounded by the records in flight."""
     cfg = ProtocolConfig(hand_filter="pooled")
     dataset = generate_dataset(bundled_scenario(n_subjects=4, samples_per_subject=4))
-    write_dataset_dir(Dataset(dataset.records[:4]), tmp_path / "d4")
-    write_dataset_dir(dataset, tmp_path / "d16")
-    record_bytes = dataset.records[0][0].values.nbytes
+    assert dataset.records[0][0].values.nbytes == 64 * 500 * 16
+    one, small = (Dataset(dataset.records[:n]) for n in (1, POOL + 2))
+    _assert_peaks_bounded(lambda d: prepare_windows(d, cfg), one, small, dataset)
+
+
+def test_read_dataset_peak_does_not_grow_with_records(tmp_path, pool_of_two):
+    """4- and 16-record directories: each record is read at its turn, never all at once."""
+    cfg = ProtocolConfig(hand_filter="pooled")
+    dataset = generate_dataset(bundled_scenario(n_subjects=4, samples_per_subject=4))
+    sizes = (1, POOL + 2, len(dataset))
+    for n in sizes:
+        write_dataset_dir(Dataset(dataset.records[:n]), tmp_path / f"d{n}")
     del dataset
 
     def run(d):
         prepare_windows(read_dataset_dir(d), cfg)
 
-    run(tmp_path / "d4")  # warm up caches and lazy imports
-    peaks = [_peak_bytes(run, tmp_path / d) for d in ("d4", "d16")]
-    assert peaks[1] - peaks[0] < record_bytes, peaks
+    _assert_peaks_bounded(run, *(tmp_path / f"d{n}" for n in sizes))
+
+
+def test_ordered_map_keeps_order_and_caps_what_runs_ahead():
+    """While item 0 is slow, at most ``workers`` later items start; results keep item order."""
+    started, at_join = [], []
+
+    def fn(i):
+        if i == 0:
+            time.sleep(0.3)  # uncapped, items 1-9 would all run meanwhile
+            at_join.extend(started)
+        started.append(i)
+        return i * i
+
+    assert list(harness._ordered_map(fn, range(10), 2)) == [i * i for i in range(10)]
+    assert set(at_join) <= {1, 2}, at_join
+
+
+def test_same_bits_on_one_and_three_threads(monkeypatch, small_dataset):
+    """The pool size moves no bit; the digest covers the record the hand filter drops."""
+    records = list(small_dataset.records)
+    matrix, label = records[4]
+    records[4] = (matrix, replace(label, hand=Hand.LEFT))
+    dataset = Dataset(tuple(records))
+    cfg = ProtocolConfig(window_size=50, **FAST)  # hand_filter "right" drops record 4
+    monkeypatch.setattr(harness, "_pool_size", lambda n_records: 1)
+    one = prepare_windows(dataset, cfg)
+    monkeypatch.setattr(harness, "_pool_size", lambda n_records: 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more threads than cores, switching as often as it can
+    try:
+        three = prepare_windows(dataset, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert max(one.record_indices) == len(dataset) - 2
+    assert one.matrix.values.tobytes() == three.matrix.values.tobytes()
+    for name in ("sample_indices", "record_indices", "window_starts", "dataset_digest"):
+        assert getattr(one, name) == getattr(three, name), name
+    assert one.matrix.labels == three.matrix.labels
+    assert one.matrix.feature_names == three.matrix.feature_names
+    assert one.dataset_digest == three.dataset_digest == dataset.digest()
+    assert dataset.digest() != small_dataset.digest()
+
+
+def test_run_results_compare_without_raising(small_dataset):
+    cfg = ProtocolConfig(window_size=50, **FAST)
+    first, second = (run_cv(small_dataset, cfg, [KNN]) for _ in range(2))
+    assert first == first and first != second  # by identity, not field by field
+    assert first.digest() == second.digest()
+    assert first.dataset_digest == small_dataset.digest()
 
 
 class TestStratifiedKfold:
