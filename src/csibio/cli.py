@@ -189,7 +189,7 @@ def _cmd_features(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / "features.csv"
     with open(path, "w", newline="") as fh:
-        fh.write(report.provenance_line(protocol.digest(), ws.dataset_digest, protocol.seed) + "\n")
+        fh.write(report.provenance_line(protocol, ws) + "\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(
             ["record_index", "window_start", "subject_id", "sample_index",
@@ -214,10 +214,10 @@ def _cmd_evaluate(args) -> int:
     dataset = ingest.read_dataset_dir(args.dataset)
     genuine, _ = synth.split_attack(dataset)
     ws = harness.prepare_windows(genuine, cfg.protocol)
-    result = harness.run_cv(genuine, cfg.protocol, cfg.models, ws=ws)
+    result = harness.run_cv(ws, cfg.protocol, cfg.models)
     if cfg.audit:
         audit_model = next(m for m in cfg.models if m.kind == cfg.audit_model)
-        audit = harness.leakage_audit(genuine, cfg.protocol, audit_model, ws=ws, result=result)
+        audit = harness.leakage_audit(result, audit_model)
         result = replace(result, leakage_audit=audit)
     files = report.write_all(args.out, result)
     flagged = result.leakage_audit.flagged if result.leakage_audit else None

@@ -194,10 +194,6 @@ def _keeps_hand(hand_filter: str):
     return lambda label: label.hand in (wanted, Hand.UNSPECIFIED)
 
 
-def _apply_hand_filter(dataset: Dataset, hand_filter: str) -> Dataset:
-    return dataset.filter(_keeps_hand(hand_filter))
-
-
 # Most elements of the [n, K, W] window slice one extract_all call sees, about
 # 4 MB of complex128; rows do not depend on their batch, so slicing keeps the bits.
 # A whole record of every benchmark workload fits in one slice.
@@ -382,27 +378,29 @@ class LeakageAudit:
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
+    """One ``run_cv`` pass, with the protocol and the windows it ran on."""
+
     reports: dict[str, metrics.SecurityReport]
     cv: CvPass
     feature_ranking: tuple[select.RankedFeature, ...]
     leakage_audit: LeakageAudit | None
-    config_digest: str
-    dataset_digest: str
-    seed: int
+    protocol: ProtocolConfig
+    windows: WindowSet = field(repr=False)
     # The scaler of the full-data fit that ranked ``feature_ranking``; not reported.
     full_scaler: Scaler = field(repr=False)
 
     def payload(self) -> dict:
         """Every reported number, keyed as in ``run_result.json``."""
         return {
-            "seed": self.seed,
+            "seed": self.protocol.seed,
             "reports": {name: r.to_dict() for name, r in sorted(self.reports.items())},
             "fold_accuracies": {k: list(v) for k, v in sorted(self.cv.accuracies.items())},
         }
 
     def digest(self) -> str:
         """Stable digest over every reported number plus provenance."""
-        payload = {"config": self.config_digest, "dataset": self.dataset_digest, **self.payload()}
+        payload = {"config": self.protocol.digest(), "dataset": self.windows.dataset_digest,
+                   **self.payload()}
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()
         ).hexdigest()
@@ -434,24 +432,19 @@ def _accuracy(scores: ScoreMatrix) -> float:
     return correct / max(scores.n_rows, 1)
 
 
-def _cv_scores(
-    ws: WindowSet, cfg: ProtocolConfig, models: list[ModelSpec],
-    full_fit: tuple[Scaler, list[select.RankedFeature]] | None = None,
-) -> CvPass:
-    """Cross-validate ``models``; a leaky ``cfg`` fits on every row, reusing ``full_fit``
-    (``_scale_and_rank`` of all rows) when given."""
+def _cv_scores(ws: WindowSet, cfg: ProtocolConfig, models: list[ModelSpec],
+               full_fit: tuple[Scaler, list[select.RankedFeature]]) -> CvPass:
+    """Cross-validate ``models``; a leaky ``cfg`` fits every fold on every row, with
+    ``full_fit`` (``_scale_and_rank`` of all rows)."""
     parts: dict[str, list[ScoreMatrix]] = {m.name(): [] for m in models}  # one per fold
     if len(parts) != len(models):
         raise ValueError(f"duplicate model names in one run: {[m.name() for m in models]}")
     folds = []
     leaky = cfg.normalization == "global_zscore_leaky"
-    if leaky:  # every fold fits on every row: one fit serves them all
-        all_rows = np.arange(ws.matrix.n_rows)
-        leaky_fit = full_fit or _scale_and_rank(ws.matrix, cfg, all_rows)
-
+    all_rows = np.arange(ws.matrix.n_rows)
     for train_idx, test_idx in make_folds(ws, cfg):
-        if leaky:
-            fit_rows, (scaler, ranking) = all_rows, leaky_fit
+        if leaky:  # every fold fits on every row: one fit serves them all
+            fit_rows, (scaler, ranking) = all_rows, full_fit
         else:
             fit_rows = train_idx
             scaler, ranking = _scale_and_rank(ws.matrix, cfg, fit_rows)
@@ -469,19 +462,16 @@ def _cv_scores(
     )
 
 
-def run_cv(dataset: Dataset, cfg: ProtocolConfig, models: list[ModelSpec],
-           ws: WindowSet | None = None) -> RunResult:
-    """Full leak-audited cross-validation for a list of model specs.
+def run_cv(ws: WindowSet, cfg: ProtocolConfig, models: list[ModelSpec]) -> RunResult:
+    """Full leak-audited cross-validation of ``ws`` for a list of model specs.
 
     Every window is scored exactly once; pooled scores feed the metric
     battery. A descriptive full-dataset mRMR ranking is attached for
     plotting; it feeds a classifier only under the leaky normalization,
-    whose every fold fits on all rows, and the leakage audit's leaky arm.
+    whose every fold fits on all rows, the leaky audit arm and the attack fit.
     """
-    if len(dataset.subject_ids()) < 2:
+    if len(set(ws.matrix.labels)) < 2:
         raise InsufficientData("need at least two subjects")
-    if ws is None:
-        ws = prepare_windows(dataset, cfg)
     scaler, ranking = _scale_and_rank(ws.matrix, cfg)
     cv = _cv_scores(ws, cfg, models, (scaler, ranking))
     reports = {
@@ -495,36 +485,34 @@ def run_cv(dataset: Dataset, cfg: ProtocolConfig, models: list[ModelSpec],
         cv=cv,
         feature_ranking=tuple(ranking),
         leakage_audit=None,
-        config_digest=cfg.digest(),
-        dataset_digest=ws.dataset_digest,
-        seed=cfg.seed,
+        protocol=cfg,
+        windows=ws,
         full_scaler=scaler,
     )
 
 
-def leakage_audit(dataset: Dataset, cfg: ProtocolConfig, model: ModelSpec,
-                  ws: WindowSet | None = None, result: RunResult | None = None
-                  ) -> LeakageAudit:
+def _check_ran(result: RunResult, model: ModelSpec) -> None:
+    if model.name() not in result.cv.accuracies:
+        raise ValueError(f"result did not run model {model.name()!r}; "
+                         f"it ran {sorted(result.cv.accuracies)}")
+
+
+def leakage_audit(result: RunResult, model: ModelSpec) -> LeakageAudit:
     """Clean pipeline vs global-fit baseline, flagged on the 1 p.p. rule.
 
     Each arm's pooled accuracy weights its fold accuracies by its folds' test
-    sizes. Given the ``run_cv`` result of the same ``cfg``, the arm that ``cfg``
-    already ran is read from it and only the other arm is cross-validated.
+    sizes. The arm that the result's protocol ran is read from ``result``; only
+    the other arm is cross-validated, on the result's windows.
     """
-    if result is not None and result.config_digest != cfg.digest():
-        raise ValueError("result was computed under a different protocol config")
-    if result is not None and model.name() not in result.cv.accuracies:
-        raise ValueError(f"result did not run model {model.name()!r}; "
-                         f"it ran {sorted(result.cv.accuracies)}")
-    if ws is None:
-        ws = prepare_windows(dataset, cfg)
+    _check_ran(result, model)
+    cfg = result.protocol
 
     def pooled_accuracy(normalization):
-        if result is not None and normalization == cfg.normalization:
+        if normalization == cfg.normalization:
             cv = result.cv
         else:
-            full_fit = None if result is None else (result.full_scaler, result.feature_ranking)
-            cv = _cv_scores(ws, replace(cfg, normalization=normalization), [model], full_fit)
+            cv = _cv_scores(result.windows, replace(cfg, normalization=normalization), [model],
+                            (result.full_scaler, result.feature_ranking))
         sizes = np.array([len(f.test_rows) for f in cv.folds], dtype=np.float64)
         return float(np.sum(np.asarray(cv.accuracies[model.name()]) * sizes) / sizes.sum())
 
@@ -552,32 +540,28 @@ class AttackReport:
     victim_fullfit_scores: np.ndarray
 
 
-def attack_report(dataset: Dataset, cfg: ProtocolConfig, model: ModelSpec,
-                  genuine_result: RunResult | None = None,
-                  genuine_ws: WindowSet | None = None) -> AttackReport:
-    """FAR of injected attack windows at the victim's own EER threshold.
+def attack_report(dataset: Dataset, result: RunResult, model: ModelSpec) -> AttackReport:
+    """FAR of the dataset's attack windows at the victim's own EER threshold.
 
-    The victim threshold comes from a clean CV run over the genuine
-    records; the scoring model is then fit on all genuine windows
-    (scaler and selection from genuine data only) and applied to the
-    attack windows. The victim's own windows are scored under the same
-    full fit so attack and genuine score distributions are comparable.
+    ``result`` is the ``run_cv`` pass over the dataset's genuine records; the
+    victim threshold comes from it. The scoring model is then fit on all
+    genuine windows, under the result's full-data scaler and selection, and
+    applied to the attack windows. The victim's own windows are scored under
+    the same full fit so attack and genuine score distributions are comparable.
     """
-    genuine_d, attack_d = split_attack(dataset)
+    _check_ran(result, model)
+    _, attack_d = split_attack(dataset)
     if len(attack_d) == 0:
         raise InsufficientData("dataset contains no attack records")
     first_attack, _ = next(iter(attack_d))
     victim = first_attack.meta.get("victim")
     attack_kind = first_attack.meta.get("attack", "unknown")
-    if genuine_ws is None:
-        genuine_ws = prepare_windows(genuine_d, cfg)
-    if genuine_result is None:
-        genuine_result = run_cv(genuine_d, cfg, [model], ws=genuine_ws)
-    report = genuine_result.reports[model.name()]
+    cfg, genuine_ws = result.protocol, result.windows
+    report = result.reports[model.name()]
     threshold = next(e.threshold for e in report.eer_results if e.class_id == victim)
 
-    scaler, ranking = _scale_and_rank(genuine_ws.matrix, cfg)
-    selected = tuple(r.name for r in ranking)
+    scaler = result.full_scaler
+    selected = tuple(r.name for r in result.feature_ranking)
     train = _scaled_rows(genuine_ws.matrix, scaler, selected=selected)
     trained = fit(model, train, seed=cfg.seed)
 

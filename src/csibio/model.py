@@ -153,13 +153,6 @@ class Dataset:
     def __iter__(self):
         return ((matrix.load(), label) for matrix, label in self.records)
 
-    def subject_ids(self) -> list[str]:
-        """Distinct subject ids in first-appearance order."""
-        seen: dict[str, None] = {}
-        for _, label in self.records:
-            seen.setdefault(label.subject_id, None)
-        return list(seen)
-
     def filter(self, keep) -> "Dataset":
         return Dataset(tuple(r for r in self.records if keep(r[1])))
 

@@ -16,12 +16,13 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .harness import RunResult
+from .harness import ProtocolConfig, RunResult, WindowSet
 
 
-def provenance_line(config_digest: str, dataset_digest: str, seed: int) -> str:
+def provenance_line(protocol: ProtocolConfig, ws: WindowSet) -> str:
     """The ``#`` first line of every CSV this package writes."""
-    return f"# csibio {__version__} config={config_digest} dataset={dataset_digest} seed={seed}"
+    return (f"# csibio {__version__} config={protocol.digest()} "
+            f"dataset={ws.dataset_digest} seed={protocol.seed}")
 
 
 def _fmt(x: float, digits: int = 12) -> str:
@@ -108,8 +109,8 @@ def write_run_result(path, result: RunResult) -> None:
     audit = result.leakage_audit
     payload = {
         "tool": f"csibio {__version__}",
-        "config_digest": result.config_digest,
-        "dataset_digest": result.dataset_digest,
+        "config_digest": result.protocol.digest(),
+        "dataset_digest": result.windows.dataset_digest,
         "result_digest": result.digest(),
         **result.payload(),
         "leakage_audit": None if audit is None else asdict(audit),
@@ -122,7 +123,7 @@ def write_all(out_dir, result: RunResult) -> list[str]:
     """Emit the full report bundle; returns the written file names."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    first_line = provenance_line(result.config_digest, result.dataset_digest, result.seed)
+    first_line = provenance_line(result.protocol, result.windows)
     for name, (header, rows) in _TABLES.items():
         with open(out / name, "w", newline="") as fh:
             fh.write(first_line + "\n")

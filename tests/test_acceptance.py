@@ -52,7 +52,7 @@ def bundled_windows(bundled_dataset):
 
 @pytest.fixture(scope="module")
 def bundled_run(bundled_dataset, bundled_windows):
-    return harness.run_cv(bundled_dataset, PROTOCOL_50, [RF, KNN], ws=bundled_windows)
+    return harness.run_cv(bundled_windows, PROTOCOL_50, [RF, KNN])
 
 
 def test_criterion_1_feature_oracle_suite():
@@ -240,7 +240,8 @@ def test_criterion_6_window_size_effect(bundled_dataset, bundled_run):
         bioquake_resamples=100,
         seed=11,
     )
-    run_500 = harness.run_cv(bundled_dataset, protocol_500, [RF])
+    run_500 = harness.run_cv(harness.prepare_windows(bundled_dataset, protocol_500),
+                             protocol_500, [RF])
     eer_500 = run_500.reports["random_forest"].eer_mean
     _verdict(
         6,
@@ -250,7 +251,7 @@ def test_criterion_6_window_size_effect(bundled_dataset, bundled_run):
     )
 
 
-def test_criterion_7_leakage_guard(bundled_dataset, bundled_windows):
+def test_criterion_7_leakage_guard(bundled_run):
     adversarial_cfg = harness.ProtocolConfig(
         window_size=50,
         selection_k=1,
@@ -260,8 +261,10 @@ def test_criterion_7_leakage_guard(bundled_dataset, bundled_windows):
         ),
         bioquake_resamples=20,
     )
-    bad = harness.leakage_audit(leakage_fixture(), adversarial_cfg, ModelSpec("knn", {"k": 3}))
-    good = harness.leakage_audit(bundled_dataset, PROTOCOL_50, KNN, ws=bundled_windows)
+    adversarial_ws = harness.prepare_windows(leakage_fixture(), adversarial_cfg)
+    knn_3 = ModelSpec("knn", {"k": 3})
+    bad = harness.leakage_audit(harness.run_cv(adversarial_ws, adversarial_cfg, [knn_3]), knn_3)
+    good = harness.leakage_audit(bundled_run, KNN)
     _verdict(
         7,
         bad.delta > 0.01 and bad.flagged and abs(good.delta) <= 0.01 and not good.flagged,
@@ -270,7 +273,7 @@ def test_criterion_7_leakage_guard(bundled_dataset, bundled_windows):
     )
 
 
-def test_criterion_8_attack_surface(bundled_dataset, bundled_windows, bundled_run):
+def test_criterion_8_attack_surface(bundled_run):
     # Replay with zero noise: impostor scores identical to victim's own.
     replay_scenario = synth.bundled_scenario(
         n_subjects=6,
@@ -285,28 +288,23 @@ def test_criterion_8_attack_surface(bundled_dataset, bundled_windows, bundled_ru
     replay_cfg = harness.ProtocolConfig(
         window_size=50, selection_k=12, bioquake_resamples=20, seed=5
     )
-    rep = harness.attack_report(
-        synth.generate_dataset(replay_scenario), replay_cfg, ModelSpec("knn", {"k": 3})
-    )
+    replay_d = synth.generate_dataset(replay_scenario)
+    replay_ws = harness.prepare_windows(synth.split_attack(replay_d)[0], replay_cfg)
+    knn_3 = ModelSpec("knn", {"k": 3})
+    rep = harness.attack_report(replay_d, harness.run_cv(replay_ws, replay_cfg, [knn_3]), knn_3)
     replay_identical = set(np.round(rep.attack_scores, 12)) == set(
         np.round(rep.victim_fullfit_scores, 12)
     )
     replay_total = rep.far_on_attack == 1.0
 
     # Mimicry FAR non-decreasing as the perturbation fraction shrinks to 0.
-    genuine_result = harness.run_cv(
-        bundled_dataset, PROTOCOL_50, [KNN], ws=bundled_windows
-    )
     fars = []
     for f in (0.5, 0.2, 0.05, 0.0):
         scenario = synth.bundled_scenario(
             attack=synth.AttackSpec(synth.AttackKind.MIMICRY, f)
         )
         d = synth.generate_dataset(scenario)
-        r = harness.attack_report(
-            d, PROTOCOL_50, KNN,
-            genuine_result=genuine_result, genuine_ws=bundled_windows,
-        )
+        r = harness.attack_report(d, bundled_run, KNN)
         fars.append(r.far_on_attack)
     non_decreasing = all(a <= b + 1e-12 for a, b in zip(fars, fars[1:]))
     _verdict(

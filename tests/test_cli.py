@@ -270,7 +270,8 @@ class TestEvaluateCommand:
         cli_digest = json.loads(capsys.readouterr().out)["result_digest"]
         protocol = harness.ProtocolConfig(window_size=40, selection_k=8, bioquake_resamples=20,
                                           seed=7)
-        result = harness.run_cv(read_dataset_dir(dataset_dir), protocol, [ModelSpec(**forest)])
+        ws = harness.prepare_windows(read_dataset_dir(dataset_dir), protocol)
+        result = harness.run_cv(ws, protocol, [ModelSpec(**forest)])
         assert result.digest() == cli_digest
 
     def test_missing_dataset_exits_1(self, tmp_path):
@@ -652,6 +653,17 @@ def _put_nan(path: Path) -> None:
     path.write_bytes(path.read_bytes()[:-16] + np.array([np.nan], dtype="<c16").tobytes())
 
 
+def _make_left_handed(ds: Path, names: list[str], i: int) -> None:
+    """Mark record ``i`` left-handed in its file and in the manifest."""
+    path = ds / names[i]
+    data = bytearray(path.read_bytes())
+    data[10] = 1  # hand: left, which the default right-hand filter drops
+    path.write_bytes(bytes(data))
+    manifest = json.loads((ds / "manifest.json").read_text())
+    manifest["records"][i]["hand"] = "left"
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+
+
 def _run(command, ds, tmp_path, out="out") -> int:
     """``features`` or ``evaluate`` on ``ds`` with window size 40, out to ``tmp_path / out``."""
     args = [command, str(ds), "--window-size", "40", "--out", str(tmp_path / out)]
@@ -678,15 +690,10 @@ def test_non_finite_record_the_hand_filter_drops_still_fails(tmp_path, capsys, c
     # The dataset digest covers every record, so every record is checked.
     ds, names = _dataset_of(tmp_path, samples_per_subject=3)
     path = ds / names[4]
-    data = bytearray(path.read_bytes())
-    data[10] = 1  # hand: left, which the default right-hand filter drops
-    path.write_bytes(bytes(data))
-    manifest = json.loads((ds / "manifest.json").read_text())
-    manifest["records"][4]["hand"] = "left"
-    (ds / "manifest.json").write_text(json.dumps(manifest))
+    _make_left_handed(ds, names, 4)
     from csibio import harness, ingest
 
-    kept = harness._apply_hand_filter(ingest.read_dataset_dir(ds), "right")
+    kept = ingest.read_dataset_dir(ds).filter(harness._keeps_hand("right"))
     assert len(kept) == len(names) - 1
     assert _run(command, ds, tmp_path, out="sound") == 0
     _put_nan(path)
@@ -695,6 +702,23 @@ def test_non_finite_record_the_hand_filter_drops_still_fails(tmp_path, capsys, c
     err = _one_json_error_line(capsys.readouterr().err)
     assert err["error"] == "NonFiniteSample"
     assert str(path) in err["detail"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_subject_left_after_the_hand_filter_exits_1(tmp_path, capsys):
+    # Two subjects on disk, one of them left-handed: the windows hold one subject.
+    out = tmp_path / "ds"
+    scenario = _small_scenario_file(tmp_path, n_subjects=2, samples_per_subject=2)
+    assert main(["synth", "--scenario", str(scenario), "--out", str(out)]) == 0
+    records = json.loads((out / "manifest.json").read_text())["records"]
+    names = [r["file"] for r in records]
+    for i, record in enumerate(records):
+        if record["subject_id"] == records[-1]["subject_id"]:
+            _make_left_handed(out, names, i)
+    capsys.readouterr()
+    assert _run("evaluate", out, tmp_path) == 1
+    err = _one_json_error_line(capsys.readouterr().err)
+    assert err == {"error": "InsufficientData", "detail": "need at least two subjects"}
     assert not (tmp_path / "out").exists()
 
 

@@ -32,6 +32,7 @@ from csibio.synth import (
     PathComponent,
     bundled_scenario,
     generate_dataset,
+    split_attack,
     synthesize_matrix,
 )
 
@@ -52,6 +53,11 @@ def small_scenario(**kw):
 @pytest.fixture(scope="module")
 def small_dataset():
     return generate_dataset(small_scenario())
+
+
+def cv_of(dataset, cfg, models):
+    """``run_cv`` over the windows of ``dataset``."""
+    return run_cv(prepare_windows(dataset, cfg), cfg, models)
 
 
 class TestWindowing:
@@ -222,10 +228,10 @@ def test_same_bits_on_one_and_three_threads(monkeypatch, small_dataset):
 
 def test_run_results_compare_without_raising(small_dataset):
     cfg = ProtocolConfig(window_size=50, **FAST)
-    first, second = (run_cv(small_dataset, cfg, [KNN]) for _ in range(2))
+    first, second = (cv_of(small_dataset, cfg, [KNN]) for _ in range(2))
     assert first == first and first != second  # by identity, not field by field
     assert first.digest() == second.digest()
-    assert first.dataset_digest == small_dataset.digest()
+    assert first.windows.dataset_digest == small_dataset.digest()
 
 
 class TestStratifiedKfold:
@@ -280,7 +286,7 @@ class TestFolds:
 class TestRunCv:
     def test_no_test_rows_touched_at_fit_time(self, small_dataset):
         cfg = ProtocolConfig(window_size=50, **FAST)
-        result = run_cv(small_dataset, cfg, [KNN])
+        result = cv_of(small_dataset, cfg, [KNN])
         for audit in result.cv.folds:
             assert not set(audit.fit_rows) & set(audit.test_rows)
 
@@ -291,7 +297,7 @@ class TestRunCv:
         ws = prepare_windows(small_dataset, cfg)
         from csibio.harness import _cv_scores
 
-        _, _, audits = _cv_scores(ws, cfg, [KNN])
+        _, _, audits = _cv_scores(ws, cfg, [KNN], harness._scale_and_rank(ws.matrix, cfg))
         for audit in audits:
             assert set(audit.test_rows) <= set(audit.fit_rows)
 
@@ -305,7 +311,7 @@ class TestRunCv:
         calls = []
         rank = select.mrmr_rank
         monkeypatch.setattr(select, "mrmr_rank", lambda *a: calls.append(1) or rank(*a))
-        _, _, audits = _cv_scores(ws, cfg, [KNN])
+        _, _, audits = _cv_scores(ws, cfg, [KNN], harness._scale_and_rank(ws.matrix, cfg))
         assert len(calls) == 1 and len(audits) == len(make_folds(ws, cfg))
         assert {a.fit_rows for a in audits} == {tuple(range(ws.matrix.n_rows))}
         assert len({a.selected_features for a in audits}) == 1
@@ -313,24 +319,24 @@ class TestRunCv:
     def test_each_window_scored_once(self, small_dataset):
         cfg = ProtocolConfig(window_size=50, **FAST)
         ws = prepare_windows(small_dataset, cfg)
-        result = run_cv(small_dataset, cfg, [KNN], ws=ws)
+        result = run_cv(ws, cfg, [KNN])
         assert result.cv.scores["knn"].n_rows == ws.matrix.n_rows
 
     def test_determinism(self, small_dataset):
         cfg = ProtocolConfig(window_size=50, **FAST)
-        a = run_cv(small_dataset, cfg, [KNN])
-        b = run_cv(small_dataset, cfg, [KNN])
+        a = cv_of(small_dataset, cfg, [KNN])
+        b = cv_of(small_dataset, cfg, [KNN])
         assert a.digest() == b.digest()
 
     def test_separable_subjects_score_high(self, small_dataset):
         cfg = ProtocolConfig(window_size=50, **FAST)
-        result = run_cv(small_dataset, cfg, [KNN])
+        result = cv_of(small_dataset, cfg, [KNN])
         assert result.reports["knn"].aggregate["accuracy"] >= 0.95
 
     def test_duplicate_model_kinds_rejected(self, small_dataset):
         cfg = ProtocolConfig(window_size=50, **FAST)
         with pytest.raises(ValueError):
-            run_cv(small_dataset, cfg, [KNN, ModelSpec("knn", {"k": 1})])
+            cv_of(small_dataset, cfg, [KNN, ModelSpec("knn", {"k": 1})])
 
     @pytest.mark.parametrize("split_mode", SPLIT_MODES)
     def test_fold_records_partition_the_windows_and_align_with_scores(self, split_mode):
@@ -338,7 +344,7 @@ class TestRunCv:
         dataset = leakage_fixture()
         cfg = replace(TestLeakageAudit.ADVERSARIAL, split_mode=split_mode, folds=4)
         ws = prepare_windows(dataset, cfg)
-        cv = run_cv(dataset, cfg, [KNN, ModelSpec("gaussian_nb")], ws=ws).cv
+        cv = run_cv(ws, cfg, [KNN, ModelSpec("gaussian_nb")]).cv
         tested = np.concatenate([f.test_rows for f in cv.folds])
         assert np.array_equal(np.sort(tested), np.arange(ws.matrix.n_rows))
         labels = np.asarray(ws.matrix.labels)[tested]
@@ -386,7 +392,7 @@ def leakage_fixture():
 class TestLeakageAudit:
     def test_clean_scenario_not_flagged(self, small_dataset):
         cfg = ProtocolConfig(window_size=50, **FAST)
-        audit = leakage_audit(small_dataset, cfg, KNN)
+        audit = leakage_audit(cv_of(small_dataset, cfg, [KNN]), KNN)
         assert abs(audit.delta) <= 0.01
         assert not audit.flagged
 
@@ -399,54 +405,48 @@ class TestLeakageAudit:
     )
 
     def test_adversarial_fixture_flagged(self):
-        audit = leakage_audit(leakage_fixture(), self.ADVERSARIAL, KNN)
+        audit = leakage_audit(cv_of(leakage_fixture(), self.ADVERSARIAL, [KNN]), KNN)
         assert audit.delta > 0.01
         assert audit.flagged
 
-    @pytest.mark.parametrize("normalization", ["within_fold_zscore", "global_zscore_leaky"])
-    def test_reusing_the_main_run_matches_two_passes(self, normalization):
-        # On this fixture the two arms differ, so reading the wrong arm shows.
-        dataset = leakage_fixture()
-        cfg = replace(self.ADVERSARIAL, normalization=normalization)
-        ws = prepare_windows(dataset, cfg)
-        result = run_cv(dataset, cfg, [KNN], ws=ws)
-        reused = leakage_audit(dataset, cfg, KNN, ws=ws, result=result)
-        assert reused == leakage_audit(dataset, cfg, KNN, ws=ws)
-        assert reused.flagged
+    def test_audits_of_either_arm_agree(self):
+        # On this fixture the two arms differ, so reading the wrong arm shows. Each
+        # audit reads the arm its run ran and cross-validates the other.
+        cfg = self.ADVERSARIAL
+        ws = prepare_windows(leakage_fixture(), cfg)
+        clean_run = run_cv(ws, cfg, [KNN])
+        leaky_run = run_cv(ws, replace(cfg, normalization="global_zscore_leaky"), [KNN])
+        audit = leakage_audit(clean_run, KNN)
+        assert audit == leakage_audit(leaky_run, KNN)
+        assert audit.flagged
 
     def test_leaky_arm_reuses_the_full_data_fit(self, small_dataset, monkeypatch):
         cfg = ProtocolConfig(window_size=50, **FAST)
         ws = prepare_windows(small_dataset, cfg)
-        expected = leakage_audit(small_dataset, cfg, KNN, ws=ws)
+        leaky_cfg = replace(cfg, normalization="global_zscore_leaky")
+        expected = leakage_audit(run_cv(ws, leaky_cfg, [KNN]), KNN)
         scaler, ranking = harness._scale_and_rank(ws.matrix, cfg, np.arange(ws.matrix.n_rows))
         calls = []
         rank = select.mrmr_rank
         monkeypatch.setattr(select, "mrmr_rank", lambda *a: calls.append(1) or rank(*a))
-        result = run_cv(small_dataset, cfg, [KNN], ws=ws)
+        result = run_cv(ws, cfg, [KNN])
         assert len(calls) == len(make_folds(ws, cfg)) + 1
         assert result.full_scaler.mean.tobytes() == scaler.mean.tobytes()
         assert result.full_scaler.std.tobytes() == scaler.std.tobytes()
         assert result.feature_ranking == tuple(ranking)
         calls.clear()
-        assert leakage_audit(small_dataset, cfg, KNN, ws=ws, result=result) == expected
+        assert leakage_audit(result, KNN) == expected
         assert calls == []
-
-    def test_result_of_another_config_rejected(self, small_dataset):
-        cfg = ProtocolConfig(window_size=50, **FAST)
-        result = run_cv(small_dataset, cfg, [KNN])
-        with pytest.raises(ValueError):
-            leakage_audit(small_dataset, replace(cfg, seed=1), KNN, result=result)
 
     def test_model_the_result_did_not_run_rejected(self, small_dataset):
         cfg = ProtocolConfig(window_size=50, **FAST)
-        ws = prepare_windows(small_dataset, cfg)
-        result = run_cv(small_dataset, cfg, [KNN], ws=ws)
+        result = cv_of(small_dataset, cfg, [KNN])
         with pytest.raises(ValueError, match=r"'gaussian_nb'.*\['knn'\]"):
-            leakage_audit(small_dataset, cfg, ModelSpec("gaussian_nb"), ws=ws, result=result)
+            leakage_audit(result, ModelSpec("gaussian_nb"))
 
     def test_flag_is_definitional(self, small_dataset):
         cfg = ProtocolConfig(window_size=50, **FAST)
-        audit = leakage_audit(small_dataset, cfg, KNN)
+        audit = leakage_audit(cv_of(small_dataset, cfg, [KNN]), KNN)
         assert audit.flagged == (abs(audit.delta) > 0.01)
         assert audit.delta == pytest.approx(
             audit.leaky_accuracy - audit.clean_accuracy, abs=1e-15
@@ -469,9 +469,33 @@ class TestAttack:
         scenario = scenario_from_dict(raw)
         d = generate_dataset(scenario)
         cfg = ProtocolConfig(window_size=50, **FAST)
-        rep = attack_report(d, cfg, KNN)
+        rep = attack_report(d, cv_of(split_attack(d)[0], cfg, [KNN]), KNN)
         assert rep.victim == "s00"
         assert rep.far_on_attack == 1.0
+
+    @pytest.fixture(scope="class")
+    def mimicry(self):
+        scenario = small_scenario(n_subjects=3, attack=AttackSpec(AttackKind.MIMICRY, 0.2))
+        dataset = generate_dataset(scenario)
+        cfg = ProtocolConfig(window_size=50, **FAST)
+        return dataset, cv_of(split_attack(dataset)[0], cfg, [KNN])
+
+    def test_reads_the_full_data_fit_from_the_result(self, mimicry, monkeypatch):
+        dataset, result = mimicry
+        calls = []
+        rank = select.mrmr_rank
+        monkeypatch.setattr(select, "mrmr_rank", lambda *a: calls.append(1) or rank(*a))
+        rep = attack_report(dataset, result, KNN)
+        assert calls == [] and rep.n_attack_windows > 0
+
+    def test_model_the_result_did_not_run_rejected(self, mimicry):
+        dataset, result = mimicry
+        other = ModelSpec("gaussian_nb")
+        with pytest.raises(ValueError, match=r"'gaussian_nb'.*\['knn'\]") as attack_err:
+            attack_report(dataset, result, other)
+        with pytest.raises(ValueError) as audit_err:
+            leakage_audit(result, other)
+        assert str(attack_err.value) == str(audit_err.value)
 
     def test_protocol_round_trip(self):
         cfg = ProtocolConfig(window_size=64, selection_k=5, folds=4)

@@ -59,17 +59,6 @@ class TestLabels:
 
 
 class TestDataset:
-    def test_counts_and_subjects(self, rng):
-        m = random_matrix(rng)
-        d = Dataset(
-            (
-                (m, SubjectLabel("a", 0)),
-                (m, SubjectLabel("a", 1)),
-                (m, SubjectLabel("b", 0)),
-            )
-        )
-        assert d.subject_ids() == ["a", "b"]
-
     def test_digest_sensitive_to_values(self, rng):
         m1 = random_matrix(rng)
         m2 = m1.with_values(m1.values + 1e-12)

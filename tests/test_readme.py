@@ -1,15 +1,18 @@
-"""The README names only what the package has.
+"""The README names only what the package has, and its library example runs.
 
 Every csibio import in its ``python`` blocks, every attribute those
 blocks read from an imported csibio module, and every backticked
-``<module>.<name>`` in its prose must resolve. The blocks are parsed,
-not run: running them fits models on the bundled dataset.
+``<module>.<name>`` in its prose must resolve. The "Library use" block
+is run as written on a small scenario, so a stale call signature fails.
 """
 
 import ast
+import functools
 import importlib
 import re
 from pathlib import Path
+
+from csibio import synth
 
 ROOT = Path(__file__).parent.parent
 README = (ROOT / "README.md").read_text()
@@ -58,3 +61,12 @@ def test_readme_names_resolve():
             names.append(f"csibio.{match.group(1)}")
     assert len(names) >= 10
     assert [n for n in names if not _resolves(n)] == []
+
+
+def test_library_use_block_runs(monkeypatch, capsys):
+    (block,) = re.findall(r"## Library use\n\n```python\n(.*?)```", README, re.S)
+    small = functools.partial(synth.bundled_scenario, n_subjects=4, samples_per_subject=3,
+                              n_samples=150, n_subcarriers=16)
+    monkeypatch.setattr(synth, "bundled_scenario", small)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 4  # one line per print
