@@ -187,19 +187,15 @@ class _Tree:
         return _grow(x, codes, n_classes, hp, np.arange(x.shape[0])[None, :], None, [None])[0]
 
     def predict_proba(self, x):
-        out = np.empty(x.shape[0], dtype=np.intp)
-        stack = [(0, np.arange(x.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if self.feature[node] < 0:
-                out[idx] = node
-                continue
-            go_left = x[idx, self.feature[node]] <= self.threshold[node]
-            stack.append((self.left[node], idx[go_left]))
-            stack.append((self.right[node], idx[~go_left]))
-        return self.probs[out]
+        # Every row not yet at a leaf steps down one level per pass.
+        node = np.zeros(x.shape[0], dtype=np.intp)
+        inner = np.arange(x.shape[0])
+        while inner.size:
+            inner = inner[self.feature[node[inner]] >= 0]
+            n = node[inner]
+            node[inner] = np.where(x[inner, self.feature[n]] <= self.threshold[n],
+                                   self.left[n], self.right[n])
+        return self.probs[node]
 
     @staticmethod
     def from_nodes(nodes):
@@ -446,10 +442,7 @@ class _Forest:
         return _Forest(_grow(x, codes, n_classes, hp, samples, max_features, rngs))
 
     def predict_proba(self, x):
-        acc = self.trees[0].predict_proba(x).copy()
-        for tree in self.trees[1:]:
-            acc += tree.predict_proba(x)
-        return acc / len(self.trees)
+        return sum(tree.predict_proba(x) for tree in self.trees) / len(self.trees)
 
 
 # --- multi-layer perceptron ---------------------------------------------------

@@ -555,10 +555,15 @@ def attack_report(dataset: Dataset, result: RunResult, model: ModelSpec) -> Atta
         raise InsufficientData("dataset contains no attack records")
     first_attack, _ = next(iter(attack_d))
     victim = first_attack.meta.get("victim")
+    if victim is None:
+        raise InsufficientData("the attack records name no victim")
     attack_kind = first_attack.meta.get("attack", "unknown")
     cfg, genuine_ws = result.protocol, result.windows
     report = result.reports[model.name()]
-    threshold = next(e.threshold for e in report.eer_results if e.class_id == victim)
+    thresholds = {e.class_id: e.threshold for e in report.eer_results}
+    if victim not in thresholds:
+        raise InsufficientData(f"the result holds no windows of victim {victim!r}")
+    threshold = thresholds[victim]
 
     scaler = result.full_scaler
     selected = tuple(r.name for r in result.feature_ranking)

@@ -90,20 +90,15 @@ def class_pools(scores: ScoreMatrix) -> dict[str, tuple[np.ndarray, np.ndarray]]
     return pools
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    starts = ends - counts + 1
-    return ((starts + ends) / 2.0)[inverse]
-
-
 def auc_from_scores(genuine: np.ndarray, impostor: np.ndarray) -> float:
     """Rank-statistic AUC: P(random genuine > random impostor), ties 1/2."""
     n_g, n_i = genuine.shape[0], impostor.shape[0]
     if n_g == 0 or n_i == 0:
         raise DegenerateClass("AUC needs both genuine and impostor scores")
-    ranks = _average_ranks(np.concatenate([genuine, impostor]))
-    u = ranks[:n_g].sum() - n_g * (n_g + 1) / 2.0
+    impostor = np.sort(impostor)
+    below = np.searchsorted(impostor, genuine, side="left")
+    ties = np.searchsorted(impostor, genuine, side="right") - below
+    u = below.sum() + 0.5 * ties.sum()  # whole and half units: exact
     return float(u / (n_g * n_i))
 
 

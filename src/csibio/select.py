@@ -7,7 +7,9 @@ ranking uses the difference criterion
     score(f) = MI(f; y) - mean_{s in selected} MI(f; s)
 
 with lexicographic feature-name tie-breaking, so rankings are fully
-deterministic and invariant to joint row permutations.
+deterministic and invariant to joint row permutations. Each unselected
+column keeps the list of its MI with the selected columns, in selection
+order, and its redundancy is that list's mean.
 """
 
 from __future__ import annotations
@@ -112,38 +114,23 @@ def mrmr_rank(matrix: FeatureMatrix, y, cfg: MrmrConfig) -> list[RankedFeature]:
     codes = [_column_codes(c, cfg) for c in matrix.values.T]
     relevance = np.array([_discrete_mi(c, y_codes) for c in codes])
 
-    remaining = list(range(len(names)))
-    selected: list[int] = []
+    # The candidate is always MI's first argument: MI is not bit-symmetric.
+    mi_with_selected: dict[int, list[float]] = {i: [] for i in range(len(names))}
     ranking: list[RankedFeature] = []
-    pairwise: dict[tuple[int, int], float] = {}
-
-    def pair_mi(i: int, j: int) -> float:
-        # Keyed (candidate, selected): MI is not bit-symmetric in its arguments.
-        if (i, j) not in pairwise:
-            pairwise[i, j] = _discrete_mi(codes[i], codes[j])
-        return pairwise[i, j]
-
-    while remaining and len(selected) < k_select:
-        best_idx = None
-        best_key = None
-        best_red = 0.0
-        for i in remaining:
-            red = (
-                float(np.mean([pair_mi(i, s) for s in selected])) if selected else 0.0
-            )
-            score = relevance[i] - red
-            # Maximize score; break ties by feature name.
-            key = (-score, names[i])
-            if best_key is None or key < best_key:
-                best_key, best_idx, best_red = key, i, red
-        remaining.remove(best_idx)
-        selected.append(best_idx)
+    for step in range(k_select):
+        red = {i: float(np.mean(mi)) if mi else 0.0 for i, mi in mi_with_selected.items()}
+        # Maximize score; break ties by feature name.
+        best = min(red, key=lambda i: (-(relevance[i] - red[i]), names[i]))
+        del mi_with_selected[best]
         ranking.append(
             RankedFeature(
-                name=names[best_idx],
-                relevance=float(relevance[best_idx]),
-                redundancy=best_red,
-                score=float(relevance[best_idx] - best_red),
+                name=names[best],
+                relevance=float(relevance[best]),
+                redundancy=red[best],
+                score=float(relevance[best] - red[best]),
             )
         )
+        if step + 1 < k_select:
+            for i, mi in mi_with_selected.items():
+                mi.append(_discrete_mi(codes[i], codes[best]))
     return ranking

@@ -7,10 +7,10 @@ shared with the package implementations and no algebraic shortcuts are
 taken, so agreement is meaningful evidence. The classifier references
 are instead the code that the batched versions replaced, compared byte
 for byte: the per-feature split search, the recursive per-node tree
-grower with its split search over all candidate features at once, and
-the per-row knn vote. So are the preprocessing references: the rolling
-MAD by two sorts per window, the per-row np.interp repair, and the
-per-frame pcap decode.
+grower with its split search over all candidate features at once, the
+per-row root-to-leaf tree walk, and the per-row knn vote. So are the
+preprocessing references: the rolling MAD by two sorts per window, the
+per-row np.interp repair, and the per-frame pcap decode.
 """
 
 from __future__ import annotations
@@ -398,6 +398,26 @@ def forest_fit_per_node(x, codes, n_classes, hp, seed):
         idx = rng.integers(0, n, size=n) if hp["bootstrap"] else np.arange(n)
         trees.append(tree_fit_per_node(x[idx], codes[idx], n_classes, hp, max_features, rng))
     return trees
+
+
+def tree_proba_per_row(tree, x):
+    """A fitted tree's class probabilities, one root-to-leaf walk per row."""
+    out = np.empty((x.shape[0], tree.probs.shape[1]))
+    for r, row in enumerate(x):
+        node = 0
+        while tree.feature[node] >= 0:
+            go_left = row[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        out[r] = tree.probs[node]
+    return out
+
+
+def forest_proba_per_row(trees, x):
+    """The mean of per-row tree walks, summed in tree order."""
+    acc = tree_proba_per_row(trees[0], x)
+    for tree in trees[1:]:
+        acc = acc + tree_proba_per_row(tree, x)
+    return acc / len(trees)
 
 
 def best_split_per_node(x, codes, idx, n_classes, max_features, rng):

@@ -178,6 +178,32 @@ class TestTreesAndForest:
         trees = model.impl.trees if kind == "random_forest" else [model.impl]
         assert all(t.feature.tolist() == [-1] for t in trees)
 
+    @pytest.mark.parametrize("kind,hyperparams", [("decision_tree", {}),
+                                                  ("random_forest", {"n_trees": 7})])
+    def test_predictions_match_per_row_walk(self, rng, kind, hyperparams):
+        fm = _blobs(rng, n_per_class=30, separation=1.0)
+        model = fit(ModelSpec(kind, hyperparams), fm, seed=4)
+        trees = model.impl.trees if kind == "random_forest" else [model.impl]
+        held_out = rng.normal(0.0, 3.0, (50, 4))
+        # One row per inner node of the first tree, exactly on its threshold.
+        inner = np.flatnonzero(trees[0].feature >= 0)
+        on_threshold = held_out[: inner.size].copy()
+        on_threshold[np.arange(inner.size), trees[0].feature[inner]] = trees[0].threshold[inner]
+        for x in (held_out, on_threshold, np.zeros((0, 4))):
+            got = model.impl.predict_proba(x)
+            assert got.shape == (x.shape[0], 3)
+            assert got.tobytes() == oracles.forest_proba_per_row(trees, x).tobytes()
+
+    def test_row_on_a_threshold_goes_left(self, rng):
+        fm = _blobs(rng, n_per_class=30, separation=1.0)
+        stump = fit(ModelSpec("decision_tree", {"max_depth": 1}), fm).impl
+        assert not np.array_equal(stump.probs[stump.left[0]], stump.probs[stump.right[0]])
+        row = np.zeros((1, 4))
+        row[0, stump.feature[0]] = stump.threshold[0]
+        assert np.array_equal(stump.predict_proba(row)[0], stump.probs[stump.left[0]])
+        row[0, stump.feature[0]] = np.nextafter(stump.threshold[0], np.inf)
+        assert np.array_equal(stump.predict_proba(row)[0], stump.probs[stump.right[0]])
+
     def test_max_depth_limits_tree(self, rng):
         fm = _blobs(rng, n_per_class=50, separation=0.5)
         stump = fit(ModelSpec("decision_tree", {"max_depth": 1}), fm)

@@ -488,6 +488,19 @@ class TestAttack:
         rep = attack_report(dataset, result, KNN)
         assert calls == [] and rep.n_attack_windows > 0
 
+    def test_victim_missing_from_the_result_rejected(self, mimicry):
+        dataset, _ = mimicry
+        cfg = ProtocolConfig(window_size=50, **FAST)
+        others = split_attack(dataset)[0].filter(lambda lab: lab.subject_id != "s00")
+        with pytest.raises(InsufficientData, match="victim 's00'"):
+            attack_report(dataset, cv_of(others, cfg, [KNN]), KNN)
+
+    def test_attack_records_read_from_disk_name_no_victim(self, mimicry, tmp_path):
+        dataset, result = mimicry
+        write_dataset_dir(dataset, tmp_path / "d")
+        with pytest.raises(InsufficientData, match="name no victim"):
+            attack_report(read_dataset_dir(tmp_path / "d"), result, KNN)
+
     def test_model_the_result_did_not_run_rejected(self, mimicry):
         dataset, result = mimicry
         other = ModelSpec("gaussian_nb")

@@ -80,15 +80,20 @@ class TestAuc:
         genuine = [0.9, 0.7, 0.5, 0.5, 0.3]
         impostor = [0.6, 0.5, 0.4, 0.2, 0.1]
         got = auc_from_scores(np.array(genuine), np.array(impostor))
-        assert got == pytest.approx(auc_pair_count(genuine, impostor), abs=1e-12)
+        assert got == auc_pair_count(genuine, impostor)
 
     def test_random_vs_pair_counting(self, rng):
         for _ in range(25):
             g = rng.normal(0.6, 0.2, rng.integers(2, 30))
             i = rng.normal(0.4, 0.2, rng.integers(2, 30))
-            assert auc_from_scores(g, i) == pytest.approx(
-                auc_pair_count(list(g), list(i)), abs=1e-12
-            )
+            assert auc_from_scores(g, i) == auc_pair_count(list(g), list(i))
+
+    def test_tie_heavy_knn_scores_vs_pair_counting(self, rng):
+        # k=5 uniform votes: every score is a multiple of 1/5; most impostor scores are 0.
+        for _ in range(25):
+            g = rng.choice(6, rng.integers(1, 40), p=[0.1, 0.1, 0.1, 0.1, 0.2, 0.4]) / 5
+            i = rng.choice(6, rng.integers(1, 300), p=[0.6, 0.2, 0.1, 0.05, 0.03, 0.02]) / 5
+            assert auc_from_scores(g, i) == auc_pair_count(list(g), list(i))
 
     def test_ovr_macro(self, rng):
         rows = rng.dirichlet(np.ones(3), size=30)

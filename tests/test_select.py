@@ -123,20 +123,37 @@ class TestMrmrRank:
         }
         return cols, y
 
+    @staticmethod
+    def _wide_tie_heavy_columns(seed):
+        # 13 columns of a few repeated values (one constant), so equal-frequency
+        # bin edges collapse; the last picks average more than 8 MIs, where
+        # np.mean sums pairwise and the list order sets the bits.
+        rng = np.random.default_rng(seed)
+        y = np.repeat([0, 1, 2, 3], 15)
+        cols = {f"q{i:02d}": (y * (i % 3) + rng.integers(0, 3, 60)) // 2 * 0.5
+                for i in range(12)}
+        cols["q_const"] = np.full(60, 2.0)
+        return cols, y
+
     # On seed 3, MI(c; a) and MI(a; c) differ in the last bit, so the
     # redundancies only match when each pair is taken as (candidate, selected).
-    @pytest.mark.parametrize("seed", [4, 3])
-    def test_greedy_steps_match_bruteforce(self, seed):
-        # Exhaustive re-derivation of every greedy pick on 3 features.
-        cols, y = self._bruteforce_columns(seed)
+    @pytest.mark.parametrize("seed,wide", [pytest.param(4, False, id="4"),
+                                           pytest.param(3, False, id="3"),
+                                           pytest.param(8, True, id="wide")])
+    def test_greedy_steps_match_bruteforce(self, seed, wide):
+        # Exhaustive re-derivation of every greedy pick; the wide case asks
+        # for more features than there are columns and ranks all 13.
+        columns = self._wide_tie_heavy_columns if wide else self._bruteforce_columns
+        cols, y = columns(seed)
         fm = _feature_matrix(cols, y)
-        cfg = MrmrConfig(k_select=3)
+        cfg = MrmrConfig(k_select=16 if wide else 3)
         ranking = mrmr_rank(fm, np.array(fm.labels), cfg)
+        assert len(ranking) == len(cols)
 
         labels = np.array(fm.labels)
         relevance = {n: _relevance(cols[n], labels, cfg) for n in cols}
         selected = []
-        for step in range(3):
+        for step in range(len(cols)):
             best_name, best_key, best_red = None, None, None
             for name in sorted(cols):
                 if name in selected:
